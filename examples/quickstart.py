@@ -7,7 +7,7 @@ from repro import GraphBuilder, optimize_model
 from repro.baselines import baseline_suite
 from repro.fission import FissionEngine
 from repro.gpu import V100
-from repro.runtime import verify_model_executable
+from repro.runtime import PlanExecutor
 
 
 def build_tiny_transformer_block():
@@ -47,7 +47,7 @@ def main() -> None:
         print(part.orchestration.strategy.describe())
 
     # The orchestrated executable computes exactly what the model defines.
-    verification = verify_model_executable(graph, result.executable)
+    verification = PlanExecutor(result).verify()
     print(f"\nfunctional equivalence: {verification.equivalent} "
           f"(max |error| = {verification.max_abs_error:.2e})")
 

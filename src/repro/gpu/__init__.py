@@ -1,7 +1,6 @@
-"""Simulated GPU substrate: specs, roofline cost model, profiler, executor."""
+"""Simulated GPU substrate: specs, roofline cost model, profiler."""
 
 from .cost_model import CostBreakdown, parallelism_factor, roofline_latency
-from .executor import PrimitiveGraphExecutor, execute_primitive_graph, synthesize_tensor
 from .features import ConvShape, GemmShape, KernelFeatures, extract_features
 from .profiler import KernelProfile, KernelProfiler
 from .specs import A100, GPU_SPECS, H100, P100, V100, GpuSpec, get_gpu, gpu_generation_trends
@@ -24,7 +23,4 @@ __all__ = [
     "extract_features",
     "KernelProfile",
     "KernelProfiler",
-    "PrimitiveGraphExecutor",
-    "execute_primitive_graph",
-    "synthesize_tensor",
 ]

@@ -135,6 +135,10 @@ class LayoutPrimitive(Primitive):
     def _compute_resize(self, x: np.ndarray) -> np.ndarray:
         target = self.infer_type([TensorType(x.shape)]).shape
         mode = self.attr("mode", "nearest")
+        dtype = x.dtype
+        # Interpolation weights in the input's float type, so float32 stays
+        # float32 instead of promoting through float64 positions.
+        weight_dtype = np.result_type(dtype, np.float32)
         out = x
         for axis, (src, dst) in enumerate(zip(x.shape, target)):
             if src == dst:
@@ -149,11 +153,9 @@ class LayoutPrimitive(Primitive):
                 frac = np.clip(pos - low, 0.0, 1.0)
                 shape = [1] * out.ndim
                 shape[axis] = dst
-                frac = frac.reshape(shape)
+                frac = frac.reshape(shape).astype(weight_dtype)
                 out = np.take(out, low, axis=axis) * (1 - frac) + np.take(out, high, axis=axis) * frac
-            x = out
-            src = dst
-        return out
+        return out.astype(dtype, copy=False)
 
     def flops(self, input_types: Sequence[TensorType], output_type: TensorType) -> int:
         # Pure data movement; bilinear resize does interpolation arithmetic.

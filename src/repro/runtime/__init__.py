@@ -18,18 +18,14 @@ from .library import (
     resolve_library,
     torch_available,
 )
-from .reference import ReferenceExecutor, execute_graph
-from .verification import (
-    VerificationResult,
-    compare_outputs,
-    verify_executable,
-    verify_model_executable,
-    verify_primitive_graph,
-)
+from .reference import ReferenceExecutor, execute_graph, source_values, synthesize_tensor
+from .verification import VerificationResult, compare_outputs, verify_primitive_graph
 
 __all__ = [
     "ReferenceExecutor",
     "execute_graph",
+    "source_values",
+    "synthesize_tensor",
     "Executable",
     "KernelLaunch",
     "ModelExecutable",
@@ -49,6 +45,4 @@ __all__ = [
     "VerificationResult",
     "compare_outputs",
     "verify_primitive_graph",
-    "verify_executable",
-    "verify_model_executable",
 ]

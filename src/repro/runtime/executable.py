@@ -1,25 +1,20 @@
 """Executable generator (§5.3).
 
 Korch's executable generator stitches the selected kernels together in a
-dependency-respecting order.  In this reproduction an
-:class:`Executable` is a sequence of kernel launches executed by the numpy
-kernel executor: each launch reads its external input tensors from simulated
-device memory, runs its primitives, and writes its declared outputs back.
-The predicted latency of the executable is the sum of the kernels' profiled
+dependency-respecting order.  In this reproduction an :class:`Executable` is
+plain data: the primitive graph and its sequence of kernel launches, each
+naming the primitives it runs and the tensors it reads and writes.  The
+predicted latency of the executable is the sum of the kernels' profiled
 latencies, exactly the BLP objective (Equation 2).
 
 A :class:`ModelExecutable` chains the per-partition executables of a whole
-model; partition boundary tensors flow through the shared memory dictionary.
+model.  Running either is the job of :class:`~repro.runtime.executor.PlanExecutor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
-import numpy as np
-
-from ..gpu.executor import PrimitiveGraphExecutor
 from ..orchestration.strategy import OrchestrationStrategy
 from ..primitives.graph import PrimitiveGraph
 
@@ -43,7 +38,6 @@ class Executable:
     """A compiled kernel execution plan for one primitive graph."""
 
     pg: PrimitiveGraph
-    strategy: OrchestrationStrategy
     launches: list[KernelLaunch] = field(default_factory=list)
 
     @classmethod
@@ -60,9 +54,8 @@ class Executable:
             )
             for i, kernel in enumerate(strategy.kernels)
         ]
-        return cls(pg=strategy.pg, strategy=strategy, launches=launches)
+        return cls(pg=strategy.pg, launches=launches)
 
-    # ------------------------------------------------------------------ info
     @property
     def num_kernels(self) -> int:
         return len(self.launches)
@@ -74,58 +67,6 @@ class Executable:
     @property
     def predicted_latency_ms(self) -> float:
         return self.predicted_latency_s * 1e3
-
-    def peak_memory_bytes(self) -> int:
-        """Peak bytes of materialized intermediate tensors during execution.
-
-        Graph sources are excluded (weights are resident anyway); a tensor is
-        live from the launch that materializes it until its last reader.
-        """
-        last_use: dict[str, int] = {}
-        for position, launch in enumerate(self.launches):
-            for tensor in launch.inputs:
-                last_use[tensor] = position
-        for tensor in self.pg.outputs:
-            last_use[tensor] = len(self.launches)
-
-        live: dict[str, int] = {}
-        peak = 0
-        current = 0
-        for position, launch in enumerate(self.launches):
-            for tensor in launch.outputs:
-                if tensor not in live and not self.pg.is_source_tensor(tensor):
-                    live[tensor] = last_use.get(tensor, position)
-                    current += self.pg.tensor_type(tensor).size_bytes
-            peak = max(peak, current)
-            expired = [t for t, last in live.items() if last <= position]
-            for tensor in expired:
-                current -= self.pg.tensor_type(tensor).size_bytes
-                del live[tensor]
-        return peak
-
-    # ------------------------------------------------------------------ run
-    def run(self, feeds: Mapping[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-        """Execute the plan with numpy and return the graph outputs."""
-        executor = PrimitiveGraphExecutor(self.pg)
-        memory = executor.source_values(feeds)
-        nodes_by_name = {node.name: node for node in self.pg.nodes}
-
-        for launch, kernel in zip(self.launches, self.strategy.kernels):
-            missing = [t for t in launch.inputs if t not in memory]
-            if missing:
-                raise RuntimeError(
-                    f"kernel {launch.index} launched before its inputs {missing} are materialized"
-                )
-            input_values = {t: memory[t] for t in launch.inputs}
-            nodes = [nodes_by_name[name] for name in launch.node_names]
-            # Preserve a valid intra-kernel order (run_kernel resolves it).
-            outputs = executor.run_kernel(kernel.nodes or nodes, input_values, launch.outputs)
-            memory.update(outputs)
-
-        missing_outputs = [t for t in self.pg.outputs if t not in memory]
-        if missing_outputs:
-            raise RuntimeError(f"executable did not produce outputs {missing_outputs}")
-        return {name: memory[name] for name in self.pg.outputs}
 
 
 @dataclass
@@ -146,19 +87,3 @@ class ModelExecutable:
     @property
     def predicted_latency_ms(self) -> float:
         return self.predicted_latency_s * 1e3
-
-    def run(self, feeds: Mapping[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
-        """Execute every partition in order, flowing boundary tensors through."""
-        memory: dict[str, np.ndarray] = dict(feeds or {})
-        outputs: dict[str, np.ndarray] = {}
-        for part in self.parts:
-            part_outputs = part.run(memory)
-            memory.update(part_outputs)
-            outputs.update(part_outputs)
-        return outputs
-
-    def output_names(self) -> list[str]:
-        names: list[str] = []
-        for part in self.parts:
-            names.extend(part.pg.outputs)
-        return names

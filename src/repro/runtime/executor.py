@@ -1,34 +1,36 @@
 """Plan execution runtime: run an assembled :class:`KorchResult` for real.
 
 The optimizer's output so far was *predicted*: an executable whose latency is
-the sum of backend model estimates.  :class:`PlanExecutor` closes the loop —
-it walks the assembled kernel graph in dependency order, dispatches each
-kernel's primitive sequence to a pluggable :class:`~repro.runtime.library.KernelLibrary`
-(numpy always; torch when importable), manages intermediate tensor lifetimes
-(tensors are freed after their last reader, with live/peak accounting), and
-verifies the produced outputs against the independent operator-level
-reference executor (:mod:`repro.runtime.reference`).
+the sum of backend model estimates.  :class:`PlanExecutor` closes the loop and
+is the one code path that runs a plan — it walks the assembled kernel graph
+in dependency order, dispatches each kernel's primitive sequence to a
+pluggable :class:`~repro.runtime.library.KernelLibrary` (numpy always; torch
+when importable), manages intermediate tensor lifetimes (tensors are freed
+after their last reader, with live/peak accounting), and verifies the
+produced outputs against the independent operator-level reference executor
+(:mod:`repro.runtime.reference`).
 
-``PlanExecutor.measure`` additionally times every kernel (warmup + trimmed
-mean over repeats) and returns a :class:`MeasurementReport`, the input of the
-measured-latency profiling backend (:mod:`repro.backends.measured`) that
-feeds observed timings back into the profile cache.
+``PlanExecutor.measure`` shares that walk and only adds timing around each
+dispatch (warmup + trimmed mean over repeats); it returns a
+:class:`MeasurementReport`, the input of the measured-latency profiling
+backend (:mod:`repro.backends.measured`) that feeds observed timings back
+into the profile cache.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..gpu.executor import PrimitiveGraphExecutor
 from ..gpu.features import KernelFeatures, extract_features
 from ..gpu.profiler import KernelProfiler
 from .executable import Executable, KernelLaunch, ModelExecutable
 from .library import KernelLibrary, resolve_library
-from .reference import ReferenceExecutor
+from .reference import ReferenceExecutor, source_values
 from .verification import VerificationResult, compare_outputs
 
 __all__ = [
@@ -83,6 +85,8 @@ class ExecutionReport:
 
     model: str
     library: str
+    #: Every partition's outputs — and every kernel output too when the run
+    #: kept intermediates.
     outputs: dict[str, np.ndarray]
     kernels: list[KernelExecution]
     #: Peak bytes of live intermediate tensors (sources excluded) and bytes
@@ -185,9 +189,9 @@ class _ExecutableResult:
 class PlanExecutor:
     """Executes an assembled :class:`~repro.engine.result.KorchResult`.
 
-    ``on_kernel(execution)`` is called after every launch — the hook the
-    engine uses to feed its per-kernel latency histogram without the runtime
-    depending on the metrics package.
+    ``on_kernel(execution)`` is called after every launch of :meth:`run` —
+    the hook the engine uses to feed its per-kernel latency histogram without
+    the runtime depending on the metrics package.
     """
 
     def __init__(
@@ -224,27 +228,32 @@ class PlanExecutor:
         feeds: Mapping[str, np.ndarray] | None = None,
         keep_intermediates: bool = False,
     ) -> ExecutionReport:
-        """Execute every partition in dependency order; returns the report.
+        """Execute the plan once, timing every kernel dispatch.
 
-        Partition boundary tensors flow through a shared memory dict, like
-        :meth:`ModelExecutable.run` — but each kernel dispatches through the
-        configured library, intermediates are freed after their last reader,
-        and per-kernel wall times are recorded.
+        ``keep_intermediates=True`` frees nothing and also returns every
+        tensor the walk materialized (partition boundaries and kernel
+        outputs) in ``outputs``.
         """
-        memory: dict[str, np.ndarray] = dict(feeds or {})
-        outputs: dict[str, np.ndarray] = {}
         kernels: list[KernelExecution] = []
-        peak = 0
-        freed = 0
-        for position, part in enumerate(self.result.executable.parts):
-            part_outputs, executed, part_peak, part_freed = self._run_partition(
-                part, position, memory, keep_intermediates
+
+        def dispatch(position, pg, launch, nodes, inputs):
+            started = time.perf_counter()
+            produced = self.library.run_kernel(nodes, inputs, launch.outputs)
+            execution = KernelExecution(
+                partition=position,
+                index=launch.index,
+                node_names=launch.node_names,
+                backend=launch.backend,
+                predicted_s=launch.latency_s,
+                wall_s=time.perf_counter() - started,
+                output_bytes=sum(value.nbytes for value in produced.values()),
             )
-            memory.update(part_outputs)
-            outputs.update(part_outputs)
-            kernels.extend(executed)
-            peak = max(peak, part_peak)
-            freed += part_freed
+            kernels.append(execution)
+            if self.on_kernel is not None:
+                self.on_kernel(execution)
+            return produced
+
+        outputs, peak, freed = self._walk(feeds, dispatch, keep_intermediates)
         return ExecutionReport(
             model=self.result.graph.name,
             library=self.library.name,
@@ -254,106 +263,102 @@ class PlanExecutor:
             freed_bytes=freed,
         )
 
-    def _run_partition(
+    def _walk(
         self,
-        part: Executable,
-        position: int,
-        feeds: Mapping[str, np.ndarray],
-        keep_intermediates: bool,
-    ) -> tuple[dict[str, np.ndarray], list[KernelExecution], int, int]:
-        pg = part.pg
-        values = PrimitiveGraphExecutor(pg).source_values(feeds)
-        keep = set(pg.outputs)
-        # Last-use refcounts: a tensor dies when no later launch reads it.
-        reads: dict[str, int] = {}
-        for launch in part.launches:
-            for tensor in launch.inputs:
-                reads[tensor] = reads.get(tensor, 0) + 1
+        feeds: Mapping[str, np.ndarray] | None,
+        dispatch: Callable[..., dict[str, np.ndarray]],
+        keep_intermediates: bool = False,
+    ) -> tuple[dict[str, np.ndarray], int, int]:
+        """The one plan walk: every partition in turn, its kernels in
+        dependency order, each handed to ``dispatch(position, pg, launch,
+        nodes, inputs)``, which returns the kernel's outputs.
 
-        executed: list[KernelExecution] = []
-        live_bytes = 0
+        Partition boundary tensors flow through a shared memory dict.  A
+        tensor is freed after its last reader unless it is a partition
+        output; live bytes count materialized non-source tensors.  Returns
+        ``(outputs, peak_live_bytes, freed_bytes)``.
+        """
+        memory: dict[str, np.ndarray] = dict(feeds or {})
+        outputs: dict[str, np.ndarray] = {}
         peak = 0
         freed = 0
-        pending = self._dependency_order(part, values)
-        for launch, kernel_nodes in pending:
-            input_values = {t: values[t] for t in launch.inputs}
-            started = time.perf_counter()
-            produced = self.library.run_kernel(kernel_nodes, input_values, launch.outputs)
-            elapsed = time.perf_counter() - started
-            out_bytes = 0
-            for name, value in produced.items():
-                fresh = name not in values
-                values[name] = value
-                if fresh and not pg.is_source_tensor(name):
-                    live_bytes += value.nbytes
-                out_bytes += value.nbytes
-            peak = max(peak, live_bytes)
-            execution = KernelExecution(
-                partition=position,
-                index=launch.index,
-                node_names=launch.node_names,
-                backend=launch.backend,
-                predicted_s=launch.latency_s,
-                wall_s=elapsed,
-                output_bytes=out_bytes,
-            )
-            executed.append(execution)
-            if self.on_kernel is not None:
-                self.on_kernel(execution)
-            if keep_intermediates:
-                continue
-            for tensor in launch.inputs:
-                reads[tensor] -= 1
-                if (
-                    reads[tensor] == 0
-                    and tensor not in keep
-                    and tensor in values
-                    and not pg.is_source_tensor(tensor)
-                ):
-                    freed += values[tensor].nbytes
-                    live_bytes -= values[tensor].nbytes
-                    del values[tensor]
+        for position, part in enumerate(self.result.executable.parts):
+            pg = part.pg
+            values = source_values(pg, memory)
+            keep = set(pg.outputs)
+            # Last-use refcounts: a tensor dies when no later launch reads it.
+            reads = Counter(t for launch in part.launches for t in launch.inputs)
+            live = 0
+            for launch, nodes in self._dependency_order(part, values):
+                produced = dispatch(
+                    position, pg, launch, nodes, {t: values[t] for t in launch.inputs}
+                )
+                for name, value in produced.items():
+                    if name not in values and not pg.is_source_tensor(name):
+                        live += value.nbytes
+                    values[name] = value
+                peak = max(peak, live)
+                if keep_intermediates:
+                    continue
+                for tensor in launch.inputs:
+                    reads[tensor] -= 1
+                    if (
+                        reads[tensor] == 0
+                        and tensor not in keep
+                        and tensor in values
+                        and not pg.is_source_tensor(tensor)
+                    ):
+                        freed += values[tensor].nbytes
+                        live -= values[tensor].nbytes
+                        del values[tensor]
 
-        missing = [t for t in pg.outputs if t not in values]
-        if missing:
-            raise RuntimeError(f"plan execution did not produce outputs {missing}")
-        return {name: values[name] for name in pg.outputs}, executed, peak, freed
+            missing = [t for t in pg.outputs if t not in values]
+            if missing:
+                raise RuntimeError(f"plan execution did not produce outputs {missing}")
+            part_outputs = {name: values[name] for name in pg.outputs}
+            if keep_intermediates:
+                part_outputs.update(
+                    (name, value)
+                    for name, value in values.items()
+                    if not pg.is_source_tensor(name)
+                )
+            memory.update(part_outputs)
+            outputs.update(part_outputs)
+        return outputs, peak, freed
 
     @staticmethod
     def _dependency_order(
         part: Executable, sources: Mapping[str, np.ndarray]
     ) -> list[tuple[KernelLaunch, list]]:
-        """The kernel launches in an input-available order.
+        """The kernel launches in an input-available order, each with its
+        primitive nodes.
 
         Independent of the stored launch sequence: a ready-set walk over the
         kernel-level dataflow (deterministic — first-ready in stored order),
         raising on a plan whose kernels can never all become ready.
         """
         nodes_by_name = {node.name: node for node in part.pg.nodes}
-        pending = [
-            (launch, kernel.nodes or [nodes_by_name[n] for n in launch.node_names])
-            for launch, kernel in zip(part.launches, part.strategy.kernels)
-        ]
+        pending = list(part.launches)
         available = set(sources)
         ordered: list[tuple[KernelLaunch, list]] = []
         while pending:
             ready_at = next(
                 (
                     i
-                    for i, (launch, _) in enumerate(pending)
+                    for i, launch in enumerate(pending)
                     if all(t in available for t in launch.inputs)
                 ),
                 None,
             )
             if ready_at is None:
-                stuck = [launch.index for launch, _ in pending]
+                stuck = [launch.index for launch in pending]
                 raise RuntimeError(
                     f"kernel graph has no executable order; launches {stuck} "
                     "wait on tensors nothing produces"
                 )
-            launch, nodes = pending.pop(ready_at)
+            launch = pending.pop(ready_at)
             available.update(launch.outputs)
-            ordered.append((launch, nodes))
+            ordered.append((launch, [nodes_by_name[n] for n in launch.node_names]))
         return ordered
 
     # --------------------------------------------------------------- verify
@@ -364,11 +369,19 @@ class PlanExecutor:
     ) -> VerificationResult:
         """Compare this executor's outputs against the operator-level
         reference on the original graph's outputs (synthesized inputs when
-        no feeds are given — both sides synthesize identically by name)."""
-        reference = ReferenceExecutor(self.result.graph).run(feeds)
+        no feeds are given — both sides synthesize identically by name).
+
+        An output whose dtype differs from the one the graph declares for
+        it counts as missing: the reference shares primitive code with the
+        plan, so only the declaration catches a dtype drift in both."""
+        graph = self.result.graph
+        reference = ReferenceExecutor(graph).run(feeds)
         produced = self.run(feeds).outputs
         candidate = {
-            name: produced[name] for name in self.result.graph.outputs if name in produced
+            name: produced[name]
+            for name in graph.outputs
+            if name in produced
+            and produced[name].dtype == graph.tensor_type(name).dtype.to_numpy()
         }
         return compare_outputs(reference, candidate, tolerance)
 
@@ -393,39 +406,31 @@ class PlanExecutor:
             warmup=warmup,
             repeats=repeats,
         )
-        memory: dict[str, np.ndarray] = dict(feeds or {})
-        for position, part in enumerate(self.result.executable.parts):
-            pg = part.pg
-            values = PrimitiveGraphExecutor(pg).source_values(memory)
-            for launch, kernel_nodes in self._dependency_order(part, values):
-                input_values = {t: values[t] for t in launch.inputs}
-                for _ in range(max(0, warmup)):
-                    self.library.run_kernel(kernel_nodes, input_values, launch.outputs)
-                samples: list[float] = []
-                produced: dict[str, np.ndarray] = {}
-                for _ in range(repeats):
-                    started = time.perf_counter()
-                    produced = self.library.run_kernel(
-                        kernel_nodes, input_values, launch.outputs
-                    )
-                    samples.append(time.perf_counter() - started)
-                values.update(produced)
-                signature = KernelProfiler.kernel_signature(
-                    pg, kernel_nodes, launch.inputs, launch.outputs
+
+        def dispatch(position, pg, launch, nodes, inputs):
+            for _ in range(max(0, warmup)):
+                self.library.run_kernel(nodes, inputs, launch.outputs)
+            samples: list[float] = []
+            for _ in range(repeats):
+                started = time.perf_counter()
+                produced = self.library.run_kernel(nodes, inputs, launch.outputs)
+                samples.append(time.perf_counter() - started)
+            report.kernels.append(
+                MeasuredKernel(
+                    partition=position,
+                    index=launch.index,
+                    node_names=launch.node_names,
+                    planned_backend=launch.backend,
+                    predicted_s=launch.latency_s,
+                    measured_s=trimmed_mean(samples, trim),
+                    repeats=repeats,
+                    signature=KernelProfiler.kernel_signature(
+                        pg, nodes, launch.inputs, launch.outputs
+                    ),
+                    features=extract_features(pg, nodes, launch.inputs, launch.outputs),
                 )
-                features = extract_features(pg, kernel_nodes, launch.inputs, launch.outputs)
-                report.kernels.append(
-                    MeasuredKernel(
-                        partition=position,
-                        index=launch.index,
-                        node_names=launch.node_names,
-                        planned_backend=launch.backend,
-                        predicted_s=launch.latency_s,
-                        measured_s=trimmed_mean(samples, trim),
-                        repeats=repeats,
-                        signature=signature,
-                        features=features,
-                    )
-                )
-            memory.update({name: values[name] for name in pg.outputs})
+            )
+            return produced
+
+        self._walk(feeds, dispatch)
         return report

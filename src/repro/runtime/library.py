@@ -4,8 +4,9 @@ A :class:`KernelLibrary` turns one kernel launch — a set of primitive nodes
 with external input values — into output tensors.  The executor stays
 library-agnostic: it walks the kernel graph in dependency order and hands
 each kernel to the library, which resolves the *intra*-kernel dataflow by
-recursive op dispatch (the shape of HGL-proto's ``sageir/executor.py``: each
-requested output pulls its producer, which pulls its own inputs, memoized).
+demand-driven op dispatch (the shape of HGL-proto's ``sageir/executor.py``:
+each requested output pulls its producer, which pulls its own inputs,
+memoized).
 
 Two libraries ship:
 
@@ -65,31 +66,40 @@ class KernelLibrary:
     ) -> dict[str, np.ndarray]:
         """Run the kernel; returns exactly the requested output tensors.
 
-        The intra-kernel dataflow is resolved by recursive dispatch: each
-        output pulls the node that produces it, which recursively pulls its
-        own input tensors (external values or other in-kernel nodes), each
-        computed once.  Raises ``KeyError`` when a needed tensor is neither
-        an external input nor produced inside the kernel.
+        The intra-kernel dataflow is resolved by demand-driven dispatch: each
+        output pulls the node that produces it, which pulls its own input
+        tensors (external values or other in-kernel nodes), each computed
+        once.  The pull runs on an explicit stack rather than a recursive
+        closure, so no reference cycle keeps the kernel's intermediates
+        alive past its return and deep kernels cannot exhaust the recursion
+        limit; the nodes come from an acyclic primitive graph.  Raises
+        ``KeyError`` when a needed tensor is neither an external input nor
+        produced inside the kernel.
         """
         producers = {node.output: node for node in nodes}
         values: dict[str, Any] = {
             name: self.to_device(value) for name, value in input_values.items()
         }
-
-        def evaluate(name: str) -> Any:
-            if name in values:
-                return values[name]
-            node = producers.get(name)
-            if node is None:
-                raise KeyError(
-                    f"kernel needs tensor {name!r} but it is neither an external "
-                    f"input nor produced by the kernel's nodes"
-                )
-            args = [evaluate(t) for t in node.inputs]
-            values[name] = self.compute_node(node, args)
-            return values[name]
-
-        return {name: self.from_device(evaluate(name)) for name in outputs}
+        for output in outputs:
+            pending = [output]
+            while pending:
+                name = pending[-1]
+                if name in values:
+                    pending.pop()
+                    continue
+                node = producers.get(name)
+                if node is None:
+                    raise KeyError(
+                        f"kernel needs tensor {name!r} but it is neither an external "
+                        f"input nor produced by the kernel's nodes"
+                    )
+                missing = [t for t in node.inputs if t not in values]
+                if missing:
+                    pending.extend(reversed(missing))
+                    continue
+                values[name] = self.compute_node(node, [values[t] for t in node.inputs])
+                pending.pop()
+        return {name: self.from_device(values[name]) for name in outputs}
 
     # ------------------------------------------------------------- dispatch
     def compute_node(self, node: PrimitiveNode, inputs: Sequence[Any]) -> Any:
@@ -110,8 +120,8 @@ class KernelLibrary:
 
 class NumpyKernelLibrary(KernelLibrary):
     """The always-available reference library: primitives run their numpy
-    semantics directly, so executor outputs are bit-identical to the
-    primitive-graph executor on the same inputs."""
+    semantics directly, so executor outputs are bit-identical to running
+    the primitive graph node by node on the same inputs."""
 
     name = "numpy"
 

@@ -1,24 +1,31 @@
 """Operator-level reference executor.
 
 Executes a computation graph directly, operator by operator, with numpy.
-This is intentionally *independent* of the fission rules and the primitive
+This is intentionally *independent* of the fission rules and the plan
 executor so it can serve as the ground truth when verifying that operator
 fission, primitive-graph transformations and kernel orchestration preserve
 the model's semantics.
+
+Weights are never materialized in graphs; :func:`synthesize_tensor`
+fabricates deterministic pseudo-random data per tensor name, and
+:func:`source_values` is the one place an operator or primitive graph's
+sources get their values — so the reference and the plan executor see
+identical parameters and their results can be compared exactly.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Callable, Mapping
 
 import numpy as np
 from scipy import special
 
-from ..gpu.executor import synthesize_tensor
 from ..ir.graph import Graph, Node
+from ..ir.tensor_type import TensorType
 
-__all__ = ["ReferenceExecutor", "execute_graph"]
+__all__ = ["ReferenceExecutor", "execute_graph", "source_values", "synthesize_tensor"]
 
 _OpFn = Callable[[Node, list[np.ndarray]], list[np.ndarray]]
 _OPS: dict[str, _OpFn] = {}
@@ -34,6 +41,41 @@ def _register(*names: str) -> Callable[[_OpFn], _OpFn]:
     return decorator
 
 
+def synthesize_tensor(name: str, ttype: TensorType, scale: float = 0.1) -> np.ndarray:
+    """Deterministic pseudo-random data for a named tensor.
+
+    The seed derives from the tensor name only, so every executor produces the
+    same values for the same parameter.  Values are small (±3·scale) to keep
+    exponentials and normalizations numerically tame.  Tensors whose name
+    marks them as variance statistics (``"var"`` in the name, e.g. BatchNorm's
+    running variance) are made strictly positive, matching real checkpoints.
+    """
+    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    seed = int.from_bytes(digest[:8], "little")
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal(ttype.num_elements).astype(ttype.dtype.to_numpy())
+    data = data * scale
+    if "var" in name.lower():
+        data = np.abs(data) + scale
+    return data.reshape(ttype.shape)
+
+
+def source_values(graph, feeds: Mapping[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+    """Values of every source of ``graph`` (an operator or a primitive
+    graph): fed or synthesized inputs and params, literal constants."""
+    feeds = feeds or {}
+    values: dict[str, np.ndarray] = {}
+    for name in graph.inputs:
+        if name in feeds:
+            values[name] = np.asarray(feeds[name])
+        else:
+            values[name] = synthesize_tensor(name, graph.tensor_type(name))
+    for name, ttype in graph.params.items():
+        values[name] = feeds[name] if name in feeds else synthesize_tensor(name, ttype)
+    values.update(graph.constants)
+    return values
+
+
 class ReferenceExecutor:
     """Executes operator graphs with numpy semantics matching ONNX."""
 
@@ -46,17 +88,7 @@ class ReferenceExecutor:
         keep_intermediates: bool = False,
     ) -> dict[str, np.ndarray]:
         """Execute the graph; inputs not present in ``feeds`` are synthesized."""
-        feeds = dict(feeds or {})
-        values: dict[str, np.ndarray] = {}
-        for name in self.graph.inputs:
-            values[name] = np.asarray(
-                feeds.get(name, synthesize_tensor(name, self.graph.tensor_type(name)))
-            )
-        for name, ttype in self.graph.params.items():
-            values[name] = feeds.get(name, synthesize_tensor(name, ttype))
-        for name, constant in self.graph.constants.items():
-            values[name] = constant
-
+        values = source_values(self.graph, feeds)
         for node in self.graph.topological_order():
             fn = _OPS.get(node.op_type)
             if fn is None:

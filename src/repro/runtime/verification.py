@@ -14,19 +14,12 @@ from typing import Mapping
 
 import numpy as np
 
-from ..gpu.executor import PrimitiveGraphExecutor
 from ..ir.graph import Graph
 from ..primitives.graph import PrimitiveGraph
-from .executable import Executable, ModelExecutable
-from .reference import ReferenceExecutor
+from .library import NumpyKernelLibrary
+from .reference import ReferenceExecutor, source_values
 
-__all__ = [
-    "VerificationResult",
-    "compare_outputs",
-    "verify_primitive_graph",
-    "verify_executable",
-    "verify_model_executable",
-]
+__all__ = ["VerificationResult", "compare_outputs", "verify_primitive_graph"]
 
 _DEFAULT_TOLERANCE = 1e-4
 
@@ -52,8 +45,8 @@ def compare_outputs(
     """Elementwise max-abs-error comparison of two output dictionaries.
 
     Missing or shape-mismatched candidate tensors count as infinite error.
-    The shared core of every verification entry point (and of the plan
-    executor's :meth:`~repro.runtime.executor.PlanExecutor.verify`).
+    The shared core of :func:`verify_primitive_graph` and
+    :meth:`~repro.runtime.executor.PlanExecutor.verify`.
     """
     errors: dict[str, float] = {}
     for name, expected in reference.items():
@@ -75,36 +68,8 @@ def verify_primitive_graph(
     feeds: Mapping[str, np.ndarray] | None = None,
     tolerance: float = _DEFAULT_TOLERANCE,
 ) -> VerificationResult:
-    """Check that operator fission (and any transformations) preserved semantics."""
+    """Check that operator fission (and any transformations) preserved
+    semantics: the whole primitive graph runs as one numpy kernel."""
     reference = ReferenceExecutor(graph).run(feeds)
-    candidate = PrimitiveGraphExecutor(pg).run(feeds)
-    return compare_outputs(reference, candidate, tolerance)
-
-
-def verify_executable(
-    graph: Graph,
-    executable: Executable,
-    feeds: Mapping[str, np.ndarray] | None = None,
-    tolerance: float = _DEFAULT_TOLERANCE,
-) -> VerificationResult:
-    """Check that an orchestrated executable computes the original model."""
-    reference = ReferenceExecutor(graph).run(feeds)
-    candidate = executable.run(feeds)
-    return compare_outputs(reference, candidate, tolerance)
-
-
-def verify_model_executable(
-    graph: Graph,
-    executable: ModelExecutable,
-    feeds: Mapping[str, np.ndarray] | None = None,
-    tolerance: float = _DEFAULT_TOLERANCE,
-) -> VerificationResult:
-    """Check a partitioned model executable against the original graph.
-
-    Only the original graph's outputs are compared (partition boundary
-    tensors are implementation details).
-    """
-    reference = ReferenceExecutor(graph).run(feeds)
-    outputs = executable.run(feeds)
-    candidate = {name: outputs[name] for name in graph.outputs if name in outputs}
+    candidate = NumpyKernelLibrary().run_kernel(pg.nodes, source_values(pg, feeds), pg.outputs)
     return compare_outputs(reference, candidate, tolerance)

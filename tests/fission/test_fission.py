@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from repro.fission import FISSION_RULES, FissionEngine, apply_operator_fission, register_fission_rule
-from repro.gpu.executor import PrimitiveGraphExecutor
 from repro.ir import GraphBuilder
 from repro.primitives import PrimitiveCategory
-from repro.runtime.reference import ReferenceExecutor
+from repro.runtime import NumpyKernelLibrary, ReferenceExecutor, source_values
 
 
 def _assert_equivalent(graph, tolerance=1e-4):
     """Fission output must match the operator-level reference executor."""
     pg, _ = FissionEngine().run(graph)
     reference = ReferenceExecutor(graph).run()
-    candidate = PrimitiveGraphExecutor(pg).run()
+    candidate = NumpyKernelLibrary().run_kernel(pg.nodes, source_values(pg), pg.outputs)
     for name, expected in reference.items():
         np.testing.assert_allclose(candidate[name], expected, atol=tolerance, rtol=1e-3)
     return pg

@@ -1,6 +1,5 @@
-"""GPU specs, kernel features, roofline cost model, profiler, executor."""
+"""GPU specs, kernel features, roofline cost model, profiler."""
 
-import numpy as np
 import pytest
 
 from repro.backends import (
@@ -18,13 +17,11 @@ from repro.gpu import (
     P100,
     V100,
     KernelProfiler,
-    PrimitiveGraphExecutor,
     extract_features,
     get_gpu,
     gpu_generation_trends,
     parallelism_factor,
     roofline_latency,
-    synthesize_tensor,
 )
 from repro.ir import DataType, GraphBuilder, TensorType
 from repro.primitives import MatMulPrimitive, PrimitiveGraph, ReducePrimitive
@@ -228,26 +225,3 @@ class TestProfilerAndExecutor:
         report = profiler.tuning_model.report
         assert report.num_candidates >= 1
         assert report.num_profiled <= report.num_candidates
-
-    def test_synthesize_tensor_deterministic(self):
-        t = TensorType((3, 4))
-        a = synthesize_tensor("weight", t)
-        b = synthesize_tensor("weight", t)
-        np.testing.assert_array_equal(a, b)
-        assert synthesize_tensor("other", t).shape == (3, 4)
-        assert (synthesize_tensor("bn_running_var", t) > 0).all()
-
-    def test_executor_kernel_subset(self, attention_pg):
-        executor = PrimitiveGraphExecutor(attention_pg)
-        full = executor.run(keep_intermediates=True)
-        exp_node = next(n for n in attention_pg.nodes if n.prim.op == "Exp")
-        sum_node = next(n for n in attention_pg.nodes if n.prim.op == "Sum")
-        inputs = {exp_node.inputs[0]: full[exp_node.inputs[0]]}
-        outputs = executor.run_kernel([exp_node, sum_node], inputs, [sum_node.output])
-        np.testing.assert_allclose(outputs[sum_node.output], full[sum_node.output], rtol=1e-5)
-
-    def test_executor_kernel_missing_input(self, attention_pg):
-        executor = PrimitiveGraphExecutor(attention_pg)
-        exp_node = next(n for n in attention_pg.nodes if n.prim.op == "Exp")
-        with pytest.raises(KeyError):
-            executor.run_kernel([exp_node], {}, [exp_node.output])

@@ -10,6 +10,9 @@ timings that invert the analytic order change the solved plan.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -23,17 +26,24 @@ from repro.cache import PersistentProfileCache, backend_fingerprint
 from repro.engine import KorchEngine
 from repro.engine.config import KorchConfig
 from repro.engine.stages import ExecuteStage, ExecutionVerificationError
-from repro.ir import GraphBuilder
+from repro.fission import FissionEngine
+from repro.ir import GraphBuilder, TensorType
 from repro.runtime import (
     PlanExecutor,
+    ReferenceExecutor,
     available_libraries,
     get_library,
     resolve_library,
+    source_values,
+    synthesize_tensor,
     torch_available,
     trimmed_mean,
 )
+from repro.runtime.cli import _model_builders
 from repro.runtime.executable import Executable, KernelLaunch
 from repro.runtime.library import NumpyKernelLibrary
+
+CASE_BLOCKS = ["candy_block", "efficientvit_block", "segformer_attention", "segformer_decoder"]
 
 
 def small_graph(name="exec_small"):
@@ -80,24 +90,70 @@ class TestTrimmedMean:
 
 # ---------------------------------------------------------------- libraries
 class TestKernelLibrary:
-    def test_numpy_library_runs_primitive_chain(self, attention_pg):
-        """Recursive dispatch resolves the intra-kernel dataflow."""
+    def test_numpy_library_runs_primitive_chain(self, attention_graph, attention_pg):
+        """Demand-driven dispatch resolves the intra-kernel dataflow."""
         lib = NumpyKernelLibrary()
         pg = attention_pg
         # One kernel spanning the whole primitive graph.
-        from repro.gpu.executor import PrimitiveGraphExecutor
-
-        values = PrimitiveGraphExecutor(pg).source_values({})
-        out = lib.run_kernel(list(pg.nodes), values, list(pg.outputs))
-        expected = PrimitiveGraphExecutor(pg).run(feeds=None)
+        out = lib.run_kernel(list(pg.nodes), source_values(pg), list(pg.outputs))
+        expected = ReferenceExecutor(attention_graph).run()
         for name in pg.outputs:
             np.testing.assert_allclose(out[name], expected[name], atol=1e-5)
 
+    def test_kernel_subset_from_external_inputs(self, attention_pg):
+        lib = NumpyKernelLibrary()
+        pg = attention_pg
+        exp_node = next(n for n in pg.nodes if n.prim.op == "Exp")
+        sum_node = next(n for n in pg.nodes if n.prim.op == "Sum")
+        every = [node.output for node in pg.nodes]
+        full = lib.run_kernel(list(pg.nodes), source_values(pg), every)
+        inputs = {exp_node.inputs[0]: full[exp_node.inputs[0]]}
+        outputs = lib.run_kernel([exp_node, sum_node], inputs, [sum_node.output])
+        np.testing.assert_array_equal(outputs[sum_node.output], full[sum_node.output])
+
     def test_missing_tensor_raises_key_error(self, attention_pg):
         lib = NumpyKernelLibrary()
-        node = attention_pg.nodes[-1]
-        with pytest.raises(KeyError):
-            lib.run_kernel([node], {}, [node.output])
+        exp_node = next(n for n in attention_pg.nodes if n.prim.op == "Exp")
+        for node in (attention_pg.nodes[-1], exp_node):
+            with pytest.raises(KeyError):
+                lib.run_kernel([node], {}, [node.output])
+
+    def test_intermediates_freed_on_return(self):
+        """No reference cycle keeps a kernel's intermediates alive: with the
+        cycle collector off, they die as soon as ``run_kernel`` returns."""
+        b = GraphBuilder("leak")
+        x = b.input("x", (4, 8))
+        b.output(b.exp(b.relu(x)))
+        pg, _ = FissionEngine().run(b.build())
+        produced: dict[str, weakref.ref] = {}
+
+        class Recording(NumpyKernelLibrary):
+            def compute_node(self, node, inputs):
+                value = super().compute_node(node, inputs)
+                produced[node.output] = weakref.ref(value)
+                return value
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            out = Recording().run_kernel(pg.nodes, source_values(pg), pg.outputs)
+            intermediates = [name for name in produced if name not in pg.outputs]
+            assert intermediates
+            for name in intermediates:
+                assert produced[name]() is None, f"intermediate {name} outlived its kernel"
+            assert all(produced[name]() is not None for name in pg.outputs)
+            del out
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_synthesize_tensor_deterministic(self):
+        t = TensorType((3, 4))
+        a = synthesize_tensor("weight", t)
+        b = synthesize_tensor("weight", t)
+        np.testing.assert_array_equal(a, b)
+        assert synthesize_tensor("other", t).shape == (3, 4)
+        assert (synthesize_tensor("bn_running_var", t) > 0).all()
 
     def test_registry(self):
         table = available_libraries()
@@ -124,9 +180,15 @@ class TestKernelLibrary:
 
 # ----------------------------------------------------------------- executor
 class TestPlanExecutor:
-    def test_outputs_match_plain_executable_run(self, small_result):
+    def test_outputs_match_whole_graph_kernel(self, small_result):
+        """Kernel-by-kernel execution is bit-identical to running each
+        partition's primitive graph as one kernel."""
         report = PlanExecutor(small_result).run()
-        plain = small_result.executable.run()
+        lib = NumpyKernelLibrary()
+        plain: dict = {}
+        for part in small_result.executable.parts:
+            pg = part.pg
+            plain.update(lib.run_kernel(pg.nodes, source_values(pg, plain), pg.outputs))
         assert set(report.outputs) >= set(small_result.graph.outputs)
         for name in small_result.graph.outputs:
             np.testing.assert_array_equal(report.outputs[name], plain[name])
@@ -164,19 +226,38 @@ class TestPlanExecutor:
         assert verification.equivalent
         assert set(small_result.graph.outputs) <= set(report.outputs)
 
-    @pytest.mark.parametrize(
-        "name",
-        ["candy_block", "efficientvit_block", "segformer_attention"],
-    )
+    @pytest.mark.parametrize("name", CASE_BLOCKS)
     def test_case_blocks_equivalent(self, engine, name):
-        from repro.runtime.cli import _model_builders
-
         result = engine.optimize(_model_builders()[name]())
         verification = PlanExecutor(result).verify()
         assert verification.equivalent, (
             f"{name}: executed plan diverges, max abs error "
             f"{verification.max_abs_error:.3e}"
         )
+
+    @pytest.mark.parametrize("name", CASE_BLOCKS)
+    def test_case_blocks_tensors_match_declared_types(self, engine, name):
+        result = engine.optimize(_model_builders()[name]())
+        report = PlanExecutor(result).run(keep_intermediates=True)
+        for part in result.executable.parts:
+            pg = part.pg
+            produced = [t for launch in part.launches for t in launch.outputs]
+            assert set(produced) <= set(report.outputs)
+            for tensor in produced:
+                declared = pg.tensor_type(tensor)
+                value = report.outputs[tensor]
+                assert value.dtype == declared.dtype.to_numpy(), (name, tensor, value.dtype)
+                assert value.shape == tuple(declared.shape), (name, tensor, value.shape)
+
+    def test_verify_rejects_undeclared_dtype(self, small_result):
+        class Widening(NumpyKernelLibrary):
+            name = "widening"
+
+            def compute_node(self, node, inputs):
+                return np.asarray(super().compute_node(node, inputs), dtype=np.float64)
+
+        verification = PlanExecutor(small_result, library=Widening()).verify()
+        assert not verification.equivalent
 
     def test_unexecutable_plan_raises(self, small_result):
         part = small_result.executable.parts[0]
@@ -188,7 +269,7 @@ class TestPlanExecutor:
             backend="cublas",
             latency_s=1e-6,
         )
-        bad = Executable(pg=part.pg, strategy=part.strategy, launches=[bad_launch])
+        bad = Executable(pg=part.pg, launches=[bad_launch])
         executor = PlanExecutor.for_executable(small_result.graph, bad)
         with pytest.raises(RuntimeError, match="no executable order"):
             executor.run()

@@ -11,9 +11,8 @@ from repro.partition import GraphPartitioner, PartitionConfig, partition_graph
 from repro.pipeline import KorchConfig, KorchPipeline, optimize_model
 from repro.runtime import (
     Executable,
+    PlanExecutor,
     ReferenceExecutor,
-    verify_executable,
-    verify_model_executable,
     verify_primitive_graph,
 )
 from repro.transforms import PrimitiveGraphOptimizer
@@ -113,9 +112,10 @@ class TestRuntime:
         executable = Executable.from_strategy(strategy)
         assert executable.num_kernels == strategy.num_kernels
         assert executable.predicted_latency_s == pytest.approx(strategy.total_latency_s)
-        result = verify_executable(attention_graph, executable)
+        executor = PlanExecutor.for_executable(attention_graph, executable)
+        result = executor.verify()
         assert result.equivalent, result.per_output_error
-        assert executable.peak_memory_bytes() > 0
+        assert executor.run().peak_live_bytes > 0
 
     def test_executable_with_feeds(self, candy_block_graph, v100):
         pg, _ = FissionEngine().run(candy_block_graph)
@@ -123,7 +123,7 @@ class TestRuntime:
         executable = Executable.from_strategy(strategy)
         feeds = {"x": np.random.default_rng(0).normal(size=(1, 8, 16, 16)).astype(np.float32)}
         reference = ReferenceExecutor(candy_block_graph).run(feeds)
-        outputs = executable.run(feeds)
+        outputs = PlanExecutor.for_executable(candy_block_graph, executable).run(feeds).outputs
         for name, expected in reference.items():
             np.testing.assert_allclose(outputs[name], expected, atol=1e-4)
 
@@ -145,7 +145,7 @@ class TestPipeline:
         assert result.latency_ms > 0
         assert result.num_kernels <= result.num_primitives
         assert len(result.partitions) >= 2
-        verification = verify_model_executable(graph, result.executable)
+        verification = PlanExecutor(result).verify()
         assert verification.equivalent, verification.per_output_error
         summary = result.summary()
         assert summary["model"] == "deep" and summary["gpu"] == "V100"
