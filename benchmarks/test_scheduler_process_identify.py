@@ -24,8 +24,8 @@ from repro.engine import KorchConfig, KorchEngine, KorchEngineConfig
 from repro.ir import GraphBuilder
 from repro.partition import PartitionConfig
 
-#: Models in the sweep (each distinct in structure, so nothing hits the
-#: identify memo and both executors do the full enumeration work).
+#: Models in the sweep (each distinct in structure, so no partition reuses
+#: another's plan and both executors do the full enumeration work).
 NUM_MODELS = 3
 CPUS = os.cpu_count() or 1
 WORKERS = min(CPUS, NUM_MODELS)

@@ -4,9 +4,10 @@ A serving deployment optimizes many models against the same GPU fleet; most
 of them share structure (attention blocks, conv stacks), so profiling each
 model in isolation re-pays the dominant cost over and over.  The stack here:
 
-* ``KorchEngine`` owns backends, profile caches, the identify memo and the
-  scheduler's executors for its whole lifetime, amortizing tuning across
-  every request (``engine.stats`` reports the reuse).
+* ``KorchEngine`` owns backends, profile caches, the plan cache (whole-model
+  plans plus name-free partition plans) and the scheduler's executors for
+  its whole lifetime, amortizing tuning across every request
+  (``engine.stats`` reports the reuse).
 * ``KorchService`` turns that into an async front-end: ``submit`` returns a
   future immediately, requests queue by priority class, and each request
   carries its own ``ServiceStats`` (queue wait, stage times, cache hits).
@@ -61,10 +62,11 @@ def main() -> None:
                 f"estimates={stats.backend_estimate_calls}"
             )
 
-        # The urgent twin shares every kernel with the first model: most of
-        # its profiles come from the engine's warm caches (see
-        # cross_model_profile_reuses) and its enumeration from the identify
-        # memo (identify_memo_hits).
+        # The urgent twin is the first model again, so it is coalesced onto
+        # the in-flight request (the report's ``coalesced``).  A renamed twin
+        # would be a new model whose partitions equal the first model's up to
+        # renaming: each would reuse a stored partition plan instead of
+        # enumerating, profiling and solving (counted by identify_memo_hits).
         engine = service.engine
         print("\n=== graceful drain, then engine stats ===")
         service.drain()

@@ -58,7 +58,7 @@ _UNPICKLABLE_TYPES = {
     "FissionEngine",
     "KernelOrchestrationOptimizer",
     "PrimitiveGraphOptimizer",
-    "IdentifyMemo",
+    "TuningTally",
     "CacheStore",
     "PlanCache",
     "PersistentProfileCache",

@@ -6,7 +6,7 @@ from .cudnn import CudnnBackend, conv_efficiency
 from .framework import FrameworkEagerBackend
 from .measured import MEASURED_MODEL_VERSION, MeasuredBackend
 from .tensorrt import TensorRTBackend
-from .tuning_time import TuningTimeModel, TuningTimeReport
+from .tuning_time import TuningTally, TuningTimeModel, TuningTimeReport
 from .tvm_meta import TvmMetaScheduleBackend, codegen_bandwidth_efficiency
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "MEASURED_MODEL_VERSION",
     "TuningTimeModel",
     "TuningTimeReport",
+    "TuningTally",
     "gemm_efficiency",
     "conv_efficiency",
     "codegen_bandwidth_efficiency",

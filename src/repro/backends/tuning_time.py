@@ -15,7 +15,7 @@ from typing import Iterable
 
 from ..gpu.features import KernelFeatures
 
-__all__ = ["TuningTimeModel", "TuningTimeReport"]
+__all__ = ["TuningTimeModel", "TuningTimeReport", "TuningTally"]
 
 
 @dataclass
@@ -117,6 +117,15 @@ class TuningTimeModel:
                 self.report.num_vendor_candidates += 1
             self._seen.add(signature)
 
+    def record_reused(self, records: int, vendor_records: int) -> None:
+        """Charge a reused partition plan: the ``records`` a cold solve of
+        the partition would make against the warm profile cache, all cache
+        hits (``vendor_records`` of them vendor-library kernels)."""
+        with self._lock:
+            self.report.num_candidates += records
+            self.report.num_cache_hits += records
+            self.report.num_vendor_candidates += vendor_records
+
     @staticmethod
     def merge(reports: Iterable[TuningTimeReport]) -> TuningTimeReport:
         """Combine the reports of several subgraphs into a model-level total."""
@@ -133,3 +142,40 @@ class TuningTimeModel:
                     merged.per_backend_seconds.get(backend, 0.0) + seconds
                 )
         return merged
+
+
+class TuningTally:
+    """One partition's view of a shared :class:`TuningTimeModel`.
+
+    Forwards every record to the shared model and counts how many this
+    partition made (and how many were vendor-library kernels).  The counts
+    are stored with the partition's plan; a partition that later reuses the
+    plan tops its own counts up to them with :meth:`top_up`.
+    """
+
+    def __init__(self, model: TuningTimeModel) -> None:
+        self.model = model
+        self.records = 0
+        self.vendor_records = 0
+
+    def record(self, signature: tuple, features: KernelFeatures, backend_name: str, tuning_s: float) -> None:
+        self._count(features)
+        self.model.record(signature, features, backend_name, tuning_s)
+
+    def record_cache_hit(self, signature: tuple, features: KernelFeatures | None = None) -> None:
+        self._count(features)
+        self.model.record_cache_hit(signature, features)
+
+    def top_up(self, records: int, vendor_records: int) -> None:
+        """Charge cache hits until this partition's counts reach those of the
+        cold solve whose plan it reused: replay re-priced only the selected
+        kernels, a cold solve against the warm profile cache records every
+        candidate as a hit."""
+        self.model.record_reused(
+            max(0, records - self.records), max(0, vendor_records - self.vendor_records)
+        )
+
+    def _count(self, features: KernelFeatures | None) -> None:
+        self.records += 1
+        if features is not None and not features.is_memory_bound:
+            self.vendor_records += 1

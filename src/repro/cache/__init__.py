@@ -11,7 +11,8 @@ into a durable cache layer for the whole pipeline:
 * :mod:`~repro.cache.profile_cache` — per-kernel latency profiles, including
   negative ("no backend supports this") entries.
 * :mod:`~repro.cache.plan_cache` — whole-model orchestration plans that let
-  a warm run skip candidate enumeration and the BLP solve entirely.
+  a warm run skip candidate enumeration and the BLP solve entirely, and
+  name-free partition plans that let a repeated partition skip them too.
 """
 
 from .keys import (
@@ -22,7 +23,14 @@ from .keys import (
     profile_key,
     stable_hash,
 )
-from .plan_cache import KernelPlan, ModelPlan, PartitionPlan, PlanCache
+from .plan_cache import (
+    KernelPlan,
+    ModelPlan,
+    PartitionKey,
+    PartitionPlan,
+    PlanCache,
+    partition_plan_key,
+)
 from .snapshot import (
     SNAPSHOT_VERSION,
     SnapshotError,
@@ -57,6 +65,8 @@ __all__ = [
     "PlanCache",
     "ModelPlan",
     "PartitionPlan",
+    "PartitionKey",
+    "partition_plan_key",
     "KernelPlan",
     "canonicalize",
     "stable_hash",

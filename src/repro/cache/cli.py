@@ -12,11 +12,11 @@ Operates on one persistent cache directory (``--dir``, or the
     ``result.cache`` and ``EngineStats`` — not here.)
 
 ``gc``
-    Garbage collection.  Drops profile *and* plan entries recorded under a
-    backend ``MODEL_VERSION`` different from the one currently in the code
-    (their latency formula changed, so the keys can never be looked up
-    again), then trims each namespace's least-recently-used tail to
-    ``--keep`` entries.
+    Garbage collection.  Drops profile, model-plan and partition-plan
+    entries recorded under a backend ``MODEL_VERSION`` different from the
+    one currently in the code (their latency formula changed, so the keys
+    can never be looked up again), then trims each namespace's
+    least-recently-used tail to ``--keep`` entries.
 
 ``clear``
     Drop every entry (or one ``--namespace``).
@@ -40,6 +40,7 @@ import sys
 from pathlib import Path
 
 from ..backends import FrameworkEagerBackend, default_korch_backends
+from .plan_cache import PARTITION_NAMESPACE
 from .profile_cache import export_snapshot, snapshot_nbytes
 from .snapshot import SnapshotError, dump_snapshot, merge_snapshot
 from .store import DEFAULT_DB_NAME, CacheStore
@@ -48,7 +49,7 @@ __all__ = ["main", "current_backend_versions", "stale_keys"]
 
 #: Namespaces whose payloads record the backend set they were computed
 #: under ("backends": [...]), making them eligible for staleness GC.
-_VERSIONED_NAMESPACES = ("kernel-profiles", "orchestration-plans")
+_VERSIONED_NAMESPACES = ("kernel-profiles", "orchestration-plans", PARTITION_NAMESPACE)
 
 
 def current_backend_versions() -> dict[str, int]:
@@ -62,13 +63,13 @@ def stale_keys(
 ) -> list[str]:
     """Keys of one namespace's entries written under an outdated backend.
 
-    Profile *and* plan payloads record the backend set that produced them.
-    An entry is stale when any recorded backend names a class we know under
-    a *different* ``MODEL_VERSION`` — its result was computed by a latency
-    formula that no longer exists, and its content-addressed key (which
-    embeds the old version) can never be looked up again.  Entries recording
-    unknown classes, or none at all (written before payloads carried the
-    backend list), are left alone.
+    Profile, model-plan and partition-plan payloads record the backend set
+    that produced them.  An entry is stale when any recorded backend names a
+    class we know under a *different* ``MODEL_VERSION`` — its result was
+    computed by a latency formula that no longer exists, and its
+    content-addressed key (which embeds the old version) can never be looked
+    up again.  Entries recording unknown classes, or none at all (written
+    before payloads carried the backend list), are left alone.
     """
     versions = versions if versions is not None else current_backend_versions()
     stale: list[str] = []

@@ -23,7 +23,6 @@ from .admission import AdmissionConfig, AdmissionController
 from .config import KorchConfig, KorchEngineConfig
 from .context import StageContext
 from .engine import EngineStats, KorchEngine
-from .memo import IdentifyMemo, pg_structure_key
 from .registry import (
     MAX_OPEN_STORES,
     close_store,
@@ -87,8 +86,6 @@ __all__ = [
     "AssembleStage",
     "DEFAULT_STAGES",
     "run_stages",
-    "IdentifyMemo",
-    "pg_structure_key",
     "Dep",
     "Task",
     "TaskError",

@@ -47,20 +47,6 @@ class KorchEngineConfig:
     #: resolved worker count; the live cap only ever grows, so a small batch
     #: never throttles a concurrent larger one.
     admission_cap: int | None = None
-    #: Entry cap of the identify-stage memo (enumeration results keyed on
-    #: primitive-graph structure); 0 disables memoization.
-    identify_memo_entries: int = 512
-    #: Entry cap of the dominance memo (specs the profiler discarded, keyed
-    #: on structure + tensor types); repeats skip pricing those specs.  The
-    #: surviving candidate set is provably unchanged, so this is a pure
-    #: speed knob; 0 disables it.
-    dominance_memo_entries: int = 512
-    #: Entry cap of the solve memo backing the near-miss warm incumbents
-    #: (see ``KorchConfig.solver_near_miss_incumbents``); 0 disables it.
-    solve_memo_entries: int = 128
-    #: Maximum symmetric node-set difference for a memoized solution to
-    #: count as a near-miss neighbor of a new partition.
-    solve_memo_max_delta: int = 4
     #: Entry cap of the profile-cache snapshot :meth:`KorchEngine.warm_up`
     #: broadcasts into process-pool workers (newest entries win), so spawned
     #: workers answer graph-optimizer pricing from the parent's cache instead
@@ -100,27 +86,20 @@ class KorchConfig:
     #: keeps the original dict-of-sets scans.  Bit-identical answers either
     #: way (asserted in tests), so the knob stays out of :meth:`fingerprint`.
     solver_core: str = "bitset"
-    #: Opt-in: seed branch and bound with a memoized near-miss neighbor's
-    #: solution as a warm incumbent (see :class:`repro.engine.memo.SolveMemo`).
-    #: The objective stays exact, but among *equal-cost* optima the returned
-    #: selection may follow the seed — i.e. depend on which partitions were
-    #: solved earlier — so this result-affecting knob defaults to off and is
-    #: part of :meth:`fingerprint`.  No effect on the scipy MILP path, which
-    #: has no incumbent-injection API.
-    solver_near_miss_incumbents: bool = False
     #: Directory of the persistent profile/plan cache; ``None`` disables
     #: persistence (profiles are still memoized per process, as before).
     cache_dir: str | Path | None = None
-    #: Store whole-model plans (in addition to kernel profiles) so repeated
-    #: (graph, gpu, config) runs skip enumeration + solving.  Only effective
-    #: with ``cache_dir`` set.
+    #: Store whole-model plans and name-free partition plans (in addition to
+    #: kernel profiles) so repeated (graph, gpu, config) runs, and partitions
+    #: equal to one solved before, skip enumeration + solving.  Without
+    #: ``cache_dir`` only a long-lived ``KorchEngine`` keeps them (in memory).
     enable_plan_cache: bool = True
     #: Concurrent partition-optimization workers; 1 = serial (the default),
     #: 0 = one worker per CPU.  Results are independent of the worker count.
     num_workers: int = 1
     #: Per-namespace entry cap of the persistent cache (LRU-evicted).
     cache_max_entries: int = 200_000
-    #: Runtime knobs of the engine (executors, admission, memo, registry);
+    #: Runtime knobs of the engine (executors, admission, snapshots, registry);
     #: excluded from :meth:`fingerprint` — see :class:`KorchEngineConfig`.
     engine: KorchEngineConfig = field(default_factory=KorchEngineConfig)
 
@@ -149,14 +128,10 @@ class KorchConfig:
             "solver_method": self.solver_method,
             "solver_time_limit_s": self.solver_time_limit_s,
             "solver_mip_rel_gap": self.solver_mip_rel_gap,
-            "solver_near_miss_incumbents": self.solver_near_miss_incumbents,
         }
 
     def solver_config(self):
         """The :class:`repro.solver.SolverConfig` this pipeline solves with."""
         from ..solver import SolverConfig
 
-        return SolverConfig(
-            core=self.solver_core,
-            near_miss_incumbents=self.solver_near_miss_incumbents,
-        )
+        return SolverConfig(core=self.solver_core)

@@ -9,7 +9,8 @@ candidates, orchestration, executable — plus per-stage wall-clock timings.
 
 Contexts are **picklable**: pickling keeps the data (partition, config,
 spec, plan, artifacts) and drops the process-bound collaborators (fission
-engine, optimizers, memo), which a receiving process rebuilds for itself.
+engine, optimizers, plan cache, tuning tally), which a receiving process
+rebuilds for itself.
 That is what lets the scheduler ship stage work to process-pool workers.
 """
 
@@ -35,7 +36,8 @@ from .config import KorchConfig
 from .result import PartitionResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..cache import PartitionPlan
+    from ..backends import TuningTally
+    from ..cache import PartitionKey, PartitionPlan, PlanCache
 
 __all__ = ["StageContext"]
 
@@ -53,16 +55,12 @@ class StageContext:
     graph_optimizer: PrimitiveGraphOptimizer | None = None
     #: Stored plan to replay (skips identify/profile/solve when valid).
     plan: "PartitionPlan | None" = None
-    #: Engine-owned memo of enumeration results (see
-    #: :class:`repro.engine.memo.IdentifyMemo`); ``None`` disables lookups.
-    identify_memo: object | None = None
-    #: Engine-owned memo of profiler-discarded specs keyed on structure +
-    #: tensor types (:class:`repro.engine.memo.DominanceMemo`); ``None``
-    #: disables the memo-guided pruning.
-    dominance_memo: object | None = None
-    #: Engine-owned memo of BLP solutions for near-miss warm incumbents
-    #: (:class:`repro.engine.memo.SolveMemo`); ``None`` disables seeding.
-    solve_memo: object | None = None
+    #: Engine-owned plan cache whose partition plans equal partitions reuse;
+    #: ``None`` disables reuse.
+    plan_cache: "PlanCache | None" = None
+    #: This partition's view of the model's tuning-time accounting, whose
+    #: counts travel with saved partition plans.
+    tuning: "TuningTally | None" = None
 
     # --- artifacts (filled in by successive stages)
     pg: PrimitiveGraph | None = None
@@ -78,11 +76,9 @@ class StageContext:
     #: :class:`~repro.engine.stages.ExecuteStage` ran (plain data).
     execution: "object | None" = None
 
-    #: Whether the identify stage was answered from the memo.
-    identify_memo_hit: bool = False
-    #: ``pg_profile_key`` of ``ctx.pg``, computed lazily by the first memo
-    #: consumer and shared by the rest (plain string, picklable).
-    profile_key: str | None = None
+    #: Name-free key of ``ctx.pg`` in the partition plan cache, set by the
+    #: identify stage when the cache is on (plain data, picklable).
+    partition_key: "PartitionKey | None" = None
     #: Profiler accounting carried back from a process-pool prologue worker
     #: (merged into the partition's stats by the finish task).
     worker_profiler_stats: "object | None" = None
@@ -100,9 +96,8 @@ class StageContext:
         "fission",
         "optimizer",
         "graph_optimizer",
-        "identify_memo",
-        "dominance_memo",
-        "solve_memo",
+        "plan_cache",
+        "tuning",
     )
 
     def __getstate__(self) -> dict:
@@ -114,3 +109,8 @@ class StageContext:
     @property
     def replayed(self) -> bool:
         return bool(self.orchestration is not None and self.orchestration.extra.get("replayed"))
+
+    @property
+    def reused(self) -> bool:
+        """Whether the partition plan cache answered this partition."""
+        return bool(self.orchestration is not None and self.orchestration.extra.get("reused"))

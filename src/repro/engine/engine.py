@@ -22,8 +22,9 @@ surfaced as ``EngineStats.cross_model_profile_reuses``.
 
 Concurrency is delegated to the pluggable scheduler/executor core
 (:mod:`repro.engine.scheduler`).  Each partition becomes a three-task chain
-— ``prep`` (fission + graph optimization), ``identify`` (plan replay, memo
-lookup or candidate enumeration), ``finish`` (profile + solve + assemble) —
+— ``prep`` (fission + graph optimization), ``identify`` (plan replay,
+partition-plan reuse or candidate enumeration), ``finish`` (profile +
+solve + assemble) —
 and the scheduler dispatches those chains with an admission cap and
 per-model fairness.  Later stages carry lower priority values, so in-flight
 partitions drain before new ones are admitted.  With
@@ -43,13 +44,13 @@ from typing import Sequence
 
 from ..backends import (
     KernelBackend,
+    TuningTally,
     TuningTimeModel,
     TuningTimeReport,
     default_korch_backends,
 )
 from ..cache import (
     CacheStore,
-    KernelPlan,
     ModelPlan,
     PartitionPlan,
     PersistentProfileCache,
@@ -69,7 +70,6 @@ from ..runtime.executable import ModelExecutable
 from ..transforms import PrimitiveGraphOptimizer
 from .config import KorchConfig
 from .context import StageContext
-from .memo import DominanceMemo, IdentifyMemo, SolveMemo
 from .registry import shared_store
 from .result import CacheReport, KorchResult, PartitionResult
 from .scheduler import (
@@ -116,8 +116,8 @@ class EngineStats:
     #: Profile-cache hits on entries first written while optimizing a
     #: *different* model on this engine — the cross-model amortization.
     cross_model_profile_reuses: int = 0
-    #: Identify-stage enumerations answered from a memo (engine-side or a
-    #: process worker's) instead of being re-run.
+    #: Partitions answered from the partition plan cache (an equal
+    #: partition's plan, reused) instead of enumerated, profiled and solved.
     identify_memo_hits: int = 0
     #: Merged profiler statistics across every model the engine optimized.
     profiler: ProfilerStats = field(default_factory=ProfilerStats)
@@ -279,9 +279,6 @@ class KorchEngine:
         self._scheduler: Scheduler | None = None
         self._warm_lock = threading.Lock()
         self._warmed = False
-        self.identify_memo = IdentifyMemo(self.config.engine.identify_memo_entries)
-        self.dominance_memo = DominanceMemo(self.config.engine.dominance_memo_entries)
-        self.solve_memo = SolveMemo(self.config.engine.solve_memo_entries)
         self._owns_store = False
         self._closed = False
 
@@ -502,6 +499,7 @@ class KorchEngine:
         partitions from any model can run on concurrent workers; shared
         state is limited to the thread-safe caches.
         """
+        tuning = TuningTally(run.tuning_model)
         profile_cache = (
             _ReuseTrackingCache(self.profile_cache, self, run.run_id)
             if self.profile_cache is not None
@@ -516,7 +514,7 @@ class KorchEngine:
             solver_mip_rel_gap=self.config.solver_mip_rel_gap,
             solver_config=self.config.solver_config(),
             persistent_cache=profile_cache,
-            tuning_model=run.tuning_model,
+            tuning_model=tuning,
         )
         graph_optimizer = None
         if with_graph_optimizer and self.config.enable_graph_optimizer:
@@ -548,9 +546,8 @@ class KorchEngine:
             optimizer=optimizer,
             graph_optimizer=graph_optimizer,
             plan=plan,
-            identify_memo=self.identify_memo if self.identify_memo.enabled else None,
-            dominance_memo=self.dominance_memo if self.dominance_memo.enabled else None,
-            solve_memo=self.solve_memo if self.solve_memo.enabled else None,
+            plan_cache=self.plan_cache,
+            tuning=tuning,
         )
 
     def stages(self) -> Sequence[Stage]:
@@ -654,7 +651,7 @@ class KorchEngine:
     def _task_identify(self, ctx: StageContext) -> StageContext:
         _, identify, _ = self._stage_split()
         ctx = run_stages(ctx, identify, observe=self._observe_stage)
-        if ctx.identify_memo_hit:
+        if ctx.reused:
             with self._lock:
                 self.stats.identify_memo_hits += 1
         return ctx
@@ -670,8 +667,7 @@ class KorchEngine:
 
         The worker has no view of the engine's caches, so its profile-cache
         writes are replayed here (through the reuse-tracking wrapper, exactly
-        as if a parent-side cost-proxy profiler had written them) and its
-        memo hits are folded into the engine statistics.
+        as if a parent-side cost-proxy profiler had written them).
         """
         ctx = self._make_context(partition, plan, run, with_graph_optimizer=False)
         ctx.pg = payload.pg
@@ -694,11 +690,8 @@ class KorchEngine:
                 hit, _, _ = tracked.get(signature)
                 if not hit:
                     tracked.put(signature, profile, tuned=tuned)
-        if payload.memo_hit:
-            with self._lock:
-                self.stats.identify_memo_hits += 1
-        # Replay / fallback enumeration (stale plan) still happen here; a
-        # worker-enumerated context passes straight through.
+        # Replay, partition-plan reuse and fallback enumeration (stale plan)
+        # still happen here; otherwise the worker's specs pass through.
         return self._task_identify(ctx)
 
     def _task_finish(self, ctx: StageContext) -> tuple[PartitionResult, ProfilerStats]:
@@ -741,8 +734,12 @@ class KorchEngine:
         if run.plan_cache_key is not None:
             if cache.partitions_replayed < len(results):
                 # Cold or partially-replayed run: (re)store the full plan.
-                plan = self._plan_of(results)
-                plan.backends = backend_fingerprint(self.backends)
+                # Reused partitions count as cold here: the tuning-time
+                # accounting already charged them what a cold solve would.
+                plan = ModelPlan(
+                    partitions=[PartitionPlan.of(r.orchestration) for r in results],
+                    backends=backend_fingerprint(self.backends),
+                )
                 if cache.partitions_replayed == 0:
                     plan.tuning = run.tuning_model.report.as_payload()
                 elif run.stored_plan is not None:
@@ -766,6 +763,7 @@ class KorchEngine:
         for _, stats in run.outcomes:
             profiler.merge(stats)
         replayed = sum(1 for r in results if r.replayed)
+        reused = sum(1 for r in results if r.reused)
         if self.plan_cache is None:
             status = "off"
         elif replayed == len(results) and (run.stored_plan is not None or not results):
@@ -775,35 +773,11 @@ class KorchEngine:
         return CacheReport(
             plan_cache=status,
             partitions_replayed=replayed,
+            partitions_reused=reused,
             profiler=profiler,
             store=self.store.stats if self.store is not None else None,
             num_workers=num_workers,
         )
-
-    @staticmethod
-    def _plan_of(results: list[PartitionResult]) -> ModelPlan:
-        """Serialize the solved strategies into a replayable plan."""
-        partitions = []
-        for result in results:
-            strategy = result.orchestration.strategy
-            kernels = [
-                KernelPlan(
-                    node_names=sorted(kernel.node_names),
-                    external_inputs=list(kernel.external_inputs),
-                    outputs=list(kernel.outputs),
-                )
-                for kernel in strategy.kernels
-            ]
-            partitions.append(
-                PartitionPlan(
-                    kernels=kernels,
-                    objective_s=strategy.objective_s,
-                    solver_status=strategy.solver_status,
-                    solver_method=strategy.solver_method,
-                    num_candidates=result.orchestration.num_candidates,
-                )
-            )
-        return ModelPlan(partitions=partitions)
 
     # ------------------------------------------------------------- scheduling
     def _resolve_workers(self, max_concurrency: int | None, num_tasks: int) -> int:
@@ -969,8 +943,8 @@ class KorchEngine:
         self._stage_hist.labels(stage=name).observe(seconds)
 
     def _collect_metrics(self) -> None:
-        """Export-time collector: snapshot engine statistics (memo and
-        plan/profile hit counters) and the cache store's hit/miss/eviction
+        """Export-time collector: snapshot engine statistics (plan, partition
+        plan and profile hit counters) and the cache store's hit/miss/eviction
         accounting into gauges, so the hot paths stay uninstrumented."""
         with self._lock:
             stats = self.stats.as_dict()

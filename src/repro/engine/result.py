@@ -51,8 +51,13 @@ class PartitionResult:
 
     @property
     def replayed(self) -> bool:
-        """Whether this partition's strategy came from the plan cache."""
+        """Whether this partition's strategy came from the model's stored plan."""
         return bool(self.orchestration.extra.get("replayed"))
+
+    @property
+    def reused(self) -> bool:
+        """Whether this partition reused an equal partition's cached plan."""
+        return bool(self.orchestration.extra.get("reused"))
 
 
 @dataclass
@@ -63,6 +68,9 @@ class CacheReport:
     plan_cache: str = "off"
     #: Partitions whose strategy was replayed from a stored plan.
     partitions_replayed: int = 0
+    #: Partitions that reused an equal partition's plan from the partition
+    #: plan cache (cold runs only; never counted as replayed).
+    partitions_reused: int = 0
     #: Aggregated profiler statistics across every profiler the run used.
     profiler: ProfilerStats = field(default_factory=ProfilerStats)
     #: Store-level statistics (shared across namespaces).
@@ -133,6 +141,7 @@ class KorchResult:
             "tuning_hours": self.tuning.total_hours,
             "plan_cache": self.cache.plan_cache,
             "partitions_replayed": self.cache.partitions_replayed,
+            "partitions_reused": self.cache.partitions_reused,
             "profile_cache_hits": self.cache.profile_cache_hits,
             "backend_estimate_calls": self.cache.backend_estimate_calls,
             "num_workers": self.cache.num_workers,

@@ -8,17 +8,16 @@ is everything such a worker needs: a pure function over picklable inputs
 staged flow — operator fission, primitive-graph optimization and candidate
 enumeration — and returns a picklable :class:`PrologueResult`.
 
-Two kinds of state produced in the child are routed back through the parent:
+State produced in the child is routed back through the parent: the graph
+optimizer prices singleton kernels through a
+:class:`~repro.gpu.profiler.KernelProfiler`, and in the parent those writes
+land in the shared persistent cache.  The child records them with a
+:class:`_RecordingProfileCache` and the parent replays them into its own
+cache (``tuned=False``, exactly like the parent-side cost-proxy profiler), so
+later models still hit warm entries whichever executor produced them.
 
-* **Profile-cache writes** — the graph optimizer prices singleton kernels
-  through a :class:`~repro.gpu.profiler.KernelProfiler`; in the parent those
-  writes land in the shared persistent cache.  The child records them with a
-  :class:`_RecordingProfileCache` and the parent replays them into its own
-  cache (``tuned=False``, exactly like the parent-side cost-proxy profiler),
-  so later models still hit warm entries whichever executor produced them.
-* **Identify-memo hits** — each worker process keeps its own
-  :class:`~repro.engine.memo.IdentifyMemo`; hits are reported back and folded
-  into ``EngineStats.identify_memo_hits``.
+The worker has no view of the plan caches: reuse of an equal partition's
+plan is decided in the parent's identify stage, after the prologue returns.
 
 Determinism: fission, graph optimization and enumeration are pure functions
 of their inputs, so a prologue computed in a worker process is bit-identical
@@ -38,7 +37,6 @@ from ...orchestration.identifier import CandidateSpec, enumerate_candidate_specs
 from ...partition import Partition
 from ...primitives.graph import PrimitiveGraph
 from ...transforms import GraphOptimizerReport, PrimitiveGraphOptimizer
-from ..memo import IdentifyMemo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..config import KorchConfig
@@ -63,8 +61,6 @@ class PrologueResult:
     #: failure only).
     specs: list[CandidateSpec] | None
     report: KernelIdentifierReport | None
-    #: Whether the worker-local identify memo answered the enumeration.
-    memo_hit: bool = False
     #: Graph-optimizer profile-cache writes to replay in the parent:
     #: (signature, profile-or-None, tuned) triples.
     cache_writes: list[tuple] = field(default_factory=list)
@@ -157,19 +153,6 @@ def profile_snapshot_size() -> int:
     return len(_WORKER_SNAPSHOT or {})
 
 
-#: Per-worker-process identify memo; repeated partition structures arriving
-#: at the same worker skip enumeration without any cross-process traffic.
-_WORKER_MEMO: IdentifyMemo | None = None
-
-
-def _worker_memo(max_entries: int) -> IdentifyMemo:
-    global _WORKER_MEMO
-    if _WORKER_MEMO is None or _WORKER_MEMO.max_entries != max_entries:
-        # korch-lint: ignore[conc/global-mutation] one memo per worker process; pool workers are single-threaded
-        _WORKER_MEMO = IdentifyMemo(max_entries)
-    return _WORKER_MEMO
-
-
 def run_partition_prologue(
     partition: Partition,
     config: "KorchConfig",
@@ -228,18 +211,10 @@ def run_partition_prologue(
 
     specs: list[CandidateSpec] | None = None
     report: KernelIdentifierReport | None = None
-    memo_hit = False
     if enumerate_specs:
         started = time.perf_counter()
-        memo = _worker_memo(config.engine.identify_memo_entries)
-        cached = memo.get(pg, config.identifier)
-        if cached is not None:
-            specs, report = cached
-            memo_hit = True
-        else:
-            report = KernelIdentifierReport()
-            specs = enumerate_candidate_specs(pg, config.identifier, report)
-            memo.put(pg, config.identifier, specs, report)
+        report = KernelIdentifierReport()
+        specs = enumerate_candidate_specs(pg, config.identifier, report)
         timings["identify"] = time.perf_counter() - started
 
     return PrologueResult(
@@ -248,7 +223,6 @@ def run_partition_prologue(
         optimizer_report=optimizer_report,
         specs=specs,
         report=report,
-        memo_hit=memo_hit,
         cache_writes=writes,
         profiler_stats=profiler_stats,
         timings=timings,

@@ -11,7 +11,8 @@ The default sequence reproduces the paper's Figure 1 flow for one partition:
 ``FissionStage``     operator fission → primitive graph
 ``GraphOptStage``    TASO-style primitive-graph substitutions (optional)
 ``IdentifyStage``    candidate enumeration + pruning (Algorithm 1, first half);
-                     also the plan-replay shortcut — a valid stored plan fills
+                     also the plan-replay shortcut — a valid stored plan, or
+                     an equal partition's cached plan, fills
                      ``ctx.orchestration`` directly and the next two stages skip
 ``ProfileStage``     candidate pricing through the kernel profiler/caches
 ``SolveStage``       BLP solve + segmentation-cover guard → strategy
@@ -26,8 +27,8 @@ from __future__ import annotations
 import time
 from typing import Callable, Sequence
 
+from ..cache import PartitionPlan, backend_fingerprint, partition_plan_key
 from ..orchestration import KernelIdentifierReport
-from ..orchestration.identifier import spec_key
 from ..runtime.executable import Executable
 from .context import StageContext
 from .result import PartitionResult
@@ -56,42 +57,6 @@ class Stage:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"
-
-
-def _profile_key(ctx: StageContext) -> str:
-    """``pg_profile_key`` of the context's graph, computed once and shared."""
-    if ctx.profile_key is None:
-        from .memo import pg_profile_key
-
-        ctx.profile_key = pg_profile_key(ctx.pg, ctx.config.identifier)
-    return ctx.profile_key
-
-
-def _dominance_skip(ctx: StageContext):
-    """Spec keys the dominance memo says this partition need not price."""
-    if ctx.dominance_memo is None:
-        return None
-    return ctx.dominance_memo.get(_profile_key(ctx))
-
-
-def _filter_dominated(ctx: StageContext) -> None:
-    """Drop memo-known discarded specs from an already-enumerated list.
-
-    The counterpart of passing ``skip_specs`` into fresh enumeration, for
-    spec lists that arrived whole (identify memo, process prologue).  The
-    profiler would discard these specs again — same structure, same tensor
-    types, same backends — so removing them up front changes only how much
-    pricing work the profile stage does.
-    """
-    skip = _dominance_skip(ctx)
-    if not skip or not ctx.candidate_specs:
-        return
-    kept = [spec for spec in ctx.candidate_specs if spec_key(spec) not in skip]
-    removed = len(ctx.candidate_specs) - len(kept)
-    if removed:
-        ctx.candidate_specs = kept
-        extra = ctx.identifier_report.extra
-        extra["memo_dominance_skips"] = extra.get("memo_dominance_skips", 0) + removed
 
 
 class FissionStage(Stage):
@@ -126,13 +91,17 @@ class IdentifyStage(Stage):
 
     Replay belongs here because a valid plan *is* an identification result:
     it names exactly the kernels to build, making enumeration, profiling of
-    non-selected candidates, and the BLP solve unnecessary.  An invalid plan
-    (stale shape, corrupted payload) falls through to cold enumeration.
+    non-selected candidates, and the BLP solve unnecessary.  Sources are
+    tried in order:
 
-    Enumeration itself is answered in preference order: specs already on the
-    context (a process-pool prologue ran them), then the engine's identify
-    memo (an equal-structure partition enumerated before), then fresh
-    enumeration — which is recorded in the memo for the next repeat.
+    1. the model's stored plan for this partition (``ctx.plan``);
+    2. the partition plan cache: a plan saved by any partition whose
+       name-free key (:func:`repro.cache.partition_plan_key`) equals this
+       one's, translated to this partition's names;
+    3. cold enumeration (or the specs a process-pool prologue enumerated).
+
+    Both replays re-validate and re-price every kernel; an invalid plan
+    (stale shape, corrupted payload) falls through to the next source.
     """
 
     name = "identify"
@@ -143,30 +112,25 @@ class IdentifyStage(Stage):
             if orchestration is not None:
                 ctx.orchestration = orchestration
                 return ctx
-        if ctx.candidate_specs is not None and ctx.identifier_report is not None:
-            # Enumerated elsewhere (process prologue); the dominance memo
-            # still trims the specs the profiler is known to discard.
-            _filter_dominated(ctx)
-            return ctx
-        memo = ctx.identify_memo
-        if memo is not None:
-            cached = memo.get(ctx.pg, ctx.config.identifier)
-            if cached is not None:
-                ctx.candidate_specs, ctx.identifier_report = cached
-                ctx.identify_memo_hit = True
-                _filter_dominated(ctx)
-                return ctx
-        report = KernelIdentifierReport()
-        skip = _dominance_skip(ctx)
-        ctx.candidate_specs = ctx.optimizer.identifier.enumerate_specs(
-            ctx.pg, report, skip_specs=skip or None
-        )
-        ctx.identifier_report = report
-        if memo is not None and not skip:
-            # A skip-filtered list must not be memoized under the structure
-            # key: structurally equal partitions with different tensor types
-            # would inherit prunes that are not valid for their profiles.
-            memo.put(ctx.pg, ctx.config.identifier, ctx.candidate_specs, report)
+        if ctx.plan_cache is not None:
+            ctx.partition_key = partition_plan_key(
+                ctx.pg,
+                ctx.spec,
+                backend_fingerprint(ctx.optimizer.identifier.profiler.backends),
+                ctx.config.fingerprint(),
+            )
+            plan = ctx.plan_cache.load_partition(ctx.partition_key)
+            if plan is not None:
+                orchestration = ctx.optimizer.replay(ctx.pg, plan, marker="reused")
+                if orchestration is not None:
+                    ctx.orchestration = orchestration
+                    if ctx.tuning is not None and plan.tuning_records:
+                        ctx.tuning.top_up(*plan.tuning_records)
+                    return ctx
+        if ctx.candidate_specs is None or ctx.identifier_report is None:
+            report = KernelIdentifierReport()
+            ctx.candidate_specs = ctx.optimizer.identifier.enumerate_specs(ctx.pg, report)
+            ctx.identifier_report = report
         return ctx
 
 
@@ -181,48 +145,12 @@ class ProfileStage(Stage):
         ctx.candidates = ctx.optimizer.identifier.profile_specs(
             ctx.pg, ctx.candidate_specs or [], ctx.identifier_report
         )
-        self._record_dominance(ctx)
         return ctx
-
-    @staticmethod
-    def _record_dominance(ctx: StageContext) -> None:
-        """Teach the dominance memo which specs yielded no candidate.
-
-        Recorded only when neither enumeration nor profiling was truncated
-        by ``max_candidates`` — a memo entry from a truncated run could make
-        a later partition consider specs its own cold run would never have
-        reached (or vice versa).  Merging with prior entries lets warm runs
-        contribute the prunes they discovered on top of the inherited ones.
-        """
-        memo = ctx.dominance_memo
-        if memo is None or ctx.candidate_specs is None or ctx.candidates is None:
-            return
-        specs = ctx.candidate_specs
-        report = ctx.identifier_report
-        if report.num_candidates_considered != len(specs):
-            return  # profiling stopped at the candidate cap
-        emitted = len(specs) + report.extra.get("memo_dominance_skips", 0)
-        if emitted >= ctx.config.identifier.max_candidates:
-            return  # enumeration was (or may have been) truncated
-        surviving = {
-            (frozenset(k.node_names), tuple(sorted(k.outputs))) for k in ctx.candidates
-        }
-        pruned = frozenset(
-            key for key in (spec_key(spec) for spec in specs) if key not in surviving
-        )
-        if pruned:
-            memo.put(_profile_key(ctx), pruned)
 
 
 class SolveStage(Stage):
-    """Solve the orchestration BLP (with the segmentation-cover guard).
-
-    When the engine's solve memo holds a near-miss neighbor (and the opt-in
-    ``solver_near_miss_incumbents`` flag is set), the neighbor's selection is
-    translated to this partition's candidate indices and passed to branch
-    and bound as a warm incumbent.  Every solve's selection is recorded back
-    into the memo for later partitions.
-    """
+    """Solve the orchestration BLP (with the segmentation-cover guard), then
+    save the solution to the partition plan cache for equal partitions."""
 
     name = "solve"
 
@@ -230,59 +158,14 @@ class SolveStage(Stage):
         if ctx.orchestration is not None:  # replayed: already solved
             return ctx
         ctx.orchestration = ctx.optimizer.solve(
-            ctx.pg, ctx.candidates or [], ctx.identifier_report,
-            warm_incumbent=self._near_miss_incumbent(ctx),
+            ctx.pg, ctx.candidates or [], ctx.identifier_report
         )
-        self._record_solution(ctx)
+        if ctx.partition_key is not None:
+            plan = PartitionPlan.of(ctx.orchestration)
+            if ctx.tuning is not None:
+                plan.tuning_records = [ctx.tuning.records, ctx.tuning.vendor_records]
+            ctx.plan_cache.save_partition(ctx.partition_key, plan)
         return ctx
-
-    @staticmethod
-    def _near_miss_incumbent(ctx: StageContext) -> list[int] | None:
-        """A neighbor's solution as a 0/1 vector over this BLP's variables."""
-        memo = ctx.solve_memo
-        if memo is None or not ctx.config.solver_near_miss_incumbents:
-            return None
-        if not ctx.candidates:
-            return None
-        node_names = frozenset(node.name for node in ctx.pg.nodes)
-        entry = memo.neighbor(node_names, ctx.config.engine.solve_memo_max_delta)
-        if entry is None:
-            return None
-        index_of = {
-            (frozenset(k.node_names), tuple(sorted(k.outputs))): position
-            for position, k in enumerate(ctx.candidates)
-        }
-        values = [0] * len(ctx.candidates)
-        for key in entry.selected:
-            position = index_of.get(key)
-            if position is None:
-                return None  # neighbor uses a kernel this partition lacks
-            values[position] = 1
-        ctx.identifier_report.extra["near_miss_seeded"] = 1
-        return values
-
-    @staticmethod
-    def _record_solution(ctx: StageContext) -> None:
-        memo = ctx.solve_memo
-        if memo is None or not ctx.candidates:
-            return
-        solve = ctx.orchestration.solve_result
-        if not solve.values or not solve.is_feasible:
-            return
-        from .memo import SolveMemoEntry
-
-        selected = tuple(
-            (frozenset(ctx.candidates[i].node_names), tuple(sorted(ctx.candidates[i].outputs)))
-            for i in solve.selected()
-        )
-        memo.put(
-            _profile_key(ctx),
-            SolveMemoEntry(
-                node_names=frozenset(node.name for node in ctx.pg.nodes),
-                selected=selected,
-                objective=solve.objective,
-            ),
-        )
 
 
 class AssembleStage(Stage):

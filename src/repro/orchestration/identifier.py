@@ -162,13 +162,10 @@ class KernelIdentifier:
         return self.profile_specs(pg, specs, report), report
 
     def enumerate_specs(
-        self,
-        pg: PrimitiveGraph,
-        report: KernelIdentifierReport,
-        skip_specs: set | None = None,
+        self, pg: PrimitiveGraph, report: KernelIdentifierReport
     ) -> list[CandidateSpec]:
         """Enumeration half of Algorithm 1; see :func:`enumerate_candidate_specs`."""
-        return enumerate_candidate_specs(pg, self.config, report, skip_specs=skip_specs)
+        return enumerate_candidate_specs(pg, self.config, report)
 
     def profile_specs(
         self,
@@ -255,7 +252,7 @@ class KernelIdentifier:
 
 def spec_key(spec: CandidateSpec) -> tuple[frozenset[str], tuple[str, ...]]:
     """Canonical identity of a candidate spec — the dedup key of the
-    enumeration, and the currency of the engine's dominance memo."""
+    enumeration."""
     return (spec.node_names, tuple(sorted(spec.outputs)))
 
 
@@ -263,7 +260,6 @@ def enumerate_candidate_specs(
     pg: PrimitiveGraph,
     config: KernelIdentifierConfig,
     report: KernelIdentifierReport,
-    skip_specs: set[tuple[frozenset[str], tuple[str, ...]]] | None = None,
 ) -> list[CandidateSpec]:
     """Enumeration half of Algorithm 1, on the bit-packed graph view.
 
@@ -272,13 +268,6 @@ def enumerate_candidate_specs(
     running on :class:`~repro.orchestration.bitgraph.BitGraph` masks instead
     of frozensets (the cold-run hot path; see the bitgraph module docstring
     for why the orders coincide).
-
-    ``skip_specs`` optionally names specs (by :func:`spec_key`) to omit from
-    the result — the engine's dominance memo, which has already watched the
-    profiler discard them for a structurally identical graph.  Skipped specs
-    still count toward the ``max_candidates`` truncation, so a memo-guided
-    enumeration is exactly the cold enumeration minus the named specs, never
-    a differently-truncated one.
     """
     bg = BitGraph(pg)
     states = state_masks(bg, max_states=config.max_states)
@@ -293,11 +282,9 @@ def enumerate_candidate_specs(
 
     specs: list[CandidateSpec] = []
     seen: set[tuple[int, tuple[str, ...]]] = set()
-    emitted = 0  # appended + memo-skipped: keeps cap behavior cold-identical
-    skipped = 0
     output_tensor = bg.output_tensor
     for node_mask in sorted(convex, key=mask_sort_key):
-        if emitted >= config.max_candidates:
+        if len(specs) >= config.max_candidates:
             break
         if _prune_node_mask(bg, node_mask, config, report):
             continue
@@ -321,18 +308,9 @@ def enumerate_candidate_specs(
             if key in seen:
                 continue
             seen.add(key)
-            emitted += 1
-            spec = CandidateSpec(bg.names_of(exec_mask), outputs)
-            if skip_specs is not None and spec_key(spec) in skip_specs:
-                skipped += 1
-            else:
-                specs.append(spec)
-            if emitted >= config.max_candidates:
+            specs.append(CandidateSpec(bg.names_of(exec_mask), outputs))
+            if len(specs) >= config.max_candidates:
                 break
-    if skipped:
-        report.extra["memo_dominance_skips"] = (
-            report.extra.get("memo_dominance_skips", 0) + skipped
-        )
     return specs
 
 

@@ -109,7 +109,9 @@ class KernelOrchestrationOptimizer:
             stats.merge(self._probe_fallback_lazy.stats)
         return stats
 
-    def replay(self, pg: PrimitiveGraph, plan) -> OrchestrationResult | None:
+    def replay(
+        self, pg: PrimitiveGraph, plan, marker: str = "replayed"
+    ) -> OrchestrationResult | None:
         """Rebuild a previously-solved strategy without enumerating or solving.
 
         ``plan`` is a :class:`repro.cache.PartitionPlan` (duck-typed): an
@@ -118,6 +120,9 @@ class KernelOrchestrationOptimizer:
         profile cache this touches no backend — and validated against the
         regenerated primitive graph; any mismatch (stale or corrupted plan)
         returns ``None`` so the caller falls back to the cold path.
+        ``marker`` names the ``extra`` flag recording where the plan came
+        from: ``"replayed"`` (this model's stored plan) or ``"reused"`` (an
+        equal partition's plan).
         """
         if not pg.nodes:
             if plan.kernels:
@@ -125,7 +130,7 @@ class KernelOrchestrationOptimizer:
             strategy = OrchestrationStrategy(pg, [], 0.0, "optimal", "empty")
             return OrchestrationResult(
                 strategy, [], KernelIdentifierReport(), SolveResult("optimal", 0.0, []),
-                extra={"replayed": True},
+                extra={marker: True},
             )
 
         kernels: list[CandidateKernel] = []
@@ -161,12 +166,16 @@ class KernelOrchestrationOptimizer:
             objective_s=plan.objective_s,
             solver_status=plan.solver_status,
             solver_method=plan.solver_method,
-            metadata={"num_candidates": plan.num_candidates, "replayed": True},
+            metadata={
+                "num_candidates": plan.num_candidates,
+                marker: True,
+                "segment_cover": plan.solver_method == "segment-cover",
+            },
         )
         solve = SolveResult(plan.solver_status, plan.objective_s, [], method=plan.solver_method)
         return OrchestrationResult(
             strategy, kernels, KernelIdentifierReport(num_candidates=len(kernels)),
-            solve, extra={"replayed": True, "num_candidates": plan.num_candidates},
+            solve, extra={marker: True, "num_candidates": plan.num_candidates},
         )
 
     def optimize(self, pg: PrimitiveGraph) -> OrchestrationResult:
@@ -179,15 +188,12 @@ class KernelOrchestrationOptimizer:
         pg: PrimitiveGraph,
         candidates: list[CandidateKernel],
         report: KernelIdentifierReport,
-        warm_incumbent: list[int] | None = None,
     ) -> OrchestrationResult:
         """Solve the orchestration BLP over already-profiled ``candidates``.
 
         The tail of :meth:`optimize`, exposed separately so the engine's
         solve stage can run it on candidates produced by the identify and
-        profile stages.  ``warm_incumbent`` (a 0/1 vector over candidate
-        indices) optionally seeds branch and bound — the engine's near-miss
-        solve memo; other methods ignore it.
+        profile stages.
         """
         if not candidates and pg.nodes:
             raise RuntimeError(
@@ -206,7 +212,6 @@ class KernelOrchestrationOptimizer:
             time_limit_s=self.solver_time_limit_s,
             mip_rel_gap=self.solver_mip_rel_gap,
             config=self.solver_config,
-            warm_incumbent=warm_incumbent,
         )
         if not result.is_feasible:
             raise RuntimeError(

@@ -40,7 +40,6 @@ def solve_blp(
     time_limit_s: float | None = None,
     mip_rel_gap: float = 0.0,
     config: SolverConfig | None = None,
-    warm_incumbent: list[int] | None = None,
 ) -> SolveResult:
     """Solve a binary linear program.
 
@@ -58,10 +57,6 @@ def solve_blp(
     config:
         :class:`SolverConfig` selecting the evaluation core (bitset vs
         reference) for the in-repo solvers; never changes answers.
-    warm_incumbent:
-        Optional known-good assignment to seed branch and bound with (the
-        engine's near-miss solve memo).  Ignored by the scipy backend, which
-        has no incumbent-injection API.
     """
     config = config or DEFAULT_SOLVER_CONFIG
     if method == "auto":
@@ -70,9 +65,7 @@ def solve_blp(
         result = solve_with_scipy(problem, time_limit_s=time_limit_s, mip_rel_gap=mip_rel_gap)
         return _greedy_backstop(problem, result, config)
     if method == "branch-and-bound":
-        return solve_branch_and_bound(
-            problem, incumbent_values=warm_incumbent, config=config
-        )
+        return solve_branch_and_bound(problem, config=config)
     if method == "greedy":
         return solve_greedy(problem, config=config)
     raise ValueError(f"unknown solver method {method!r}")

@@ -45,16 +45,9 @@ class SolverConfig:
         reference implementation otherwise; ``"reference"`` forces the
         original dict-of-sets path everywhere (kept for equivalence testing
         and as the readable specification of the algorithm).
-    ``near_miss_incumbents``
-        Allow the engine to seed branch and bound with a memoized neighbor's
-        solution as a warm incumbent when a partition's canonical hash
-        differs from a previously solved one by a small node delta.  Exact
-        methods keep their optimal objective either way; the seed only
-        tightens pruning.
     """
 
     core: str = "bitset"
-    near_miss_incumbents: bool = True
 
     def __post_init__(self) -> None:
         if self.core not in ("bitset", "reference"):

@@ -112,20 +112,8 @@ class BranchAndBoundSolver:
         else:
             self._relaxation = _simplex_relaxation
 
-    def solve(
-        self,
-        problem: BinaryLinearProgram,
-        incumbent_values: list[int] | None = None,
-    ) -> SolveResult:
-        """Solve ``problem`` to optimality (within ``max_nodes``).
-
-        ``incumbent_values`` optionally seeds the search with a known-good
-        assignment (e.g. a structurally-near neighbor's solution from the
-        engine's solve memo).  The seed only tightens pruning — it is
-        validated for feasibility and competes with the greedy warm start —
-        so the optimal objective is unchanged; among equal-cost optima the
-        returned selection may be the seed's.
-        """
+    def solve(self, problem: BinaryLinearProgram) -> SolveResult:
+        """Solve ``problem`` to optimality (within ``max_nodes``)."""
         n = problem.num_variables
         if n == 0:
             return SolveResult(SolveStatus.OPTIMAL, 0.0, [], method="branch-and-bound")
@@ -145,14 +133,6 @@ class BranchAndBoundSolver:
         incumbent = solve_greedy(problem, config=self.config)
         best_values = incumbent.values if incumbent.is_feasible else None
         best_objective = incumbent.objective if incumbent.is_feasible else math.inf
-
-        if incumbent_values is not None and len(incumbent_values) == n:
-            seeded = [int(round(v)) for v in incumbent_values]
-            if feasible(seeded):
-                seeded_objective = problem.objective(seeded)
-                if seeded_objective < best_objective:
-                    best_values = seeded
-                    best_objective = seeded_objective
 
         counter = itertools.count()
         root_lower = np.zeros(n)
@@ -214,10 +194,6 @@ class BranchAndBoundSolver:
         return index
 
 
-def solve_branch_and_bound(
-    problem: BinaryLinearProgram,
-    incumbent_values: list[int] | None = None,
-    **kwargs,
-) -> SolveResult:
+def solve_branch_and_bound(problem: BinaryLinearProgram, **kwargs) -> SolveResult:
     """Convenience wrapper around :class:`BranchAndBoundSolver`."""
-    return BranchAndBoundSolver(**kwargs).solve(problem, incumbent_values=incumbent_values)
+    return BranchAndBoundSolver(**kwargs).solve(problem)

@@ -79,8 +79,8 @@ class TestUnpicklableContract:
         found = lint(
             """
             class Ctx:
-                _UNPICKLABLE = ("memo",)
-                memo: IdentifyMemo | None = None
+                _UNPICKLABLE = ("tally",)
+                tally: TuningTally | None = None
                 store: CacheStore | None = None
             """
         )
@@ -102,8 +102,8 @@ class TestUnpicklableContract:
         assert lint(
             """
             class Ctx:
-                _UNPICKLABLE = ("memo", "lock")
-                memo: IdentifyMemo | None = None
+                _UNPICKLABLE = ("tally", "lock")
+                tally: TuningTally | None = None
                 lock: RLock | None = None
                 payload: list = None
             """

@@ -95,6 +95,27 @@ class TestCommands:
         assert reopened.count("kernel-profiles") == min(5, total - 1)
         reopened.close()
 
+    def test_gc_drops_outdated_partition_plans(self, tmp_path, capsys):
+        populated_cache(tmp_path)
+        store = CacheStore(tmp_path)
+        current = store.items("partition-plans")
+        assert current, "a cold run stores its partition plans"
+        key, raw = current[0]
+        assert stale_keys(store, "partition-plans") == []
+        outdated = json.loads(raw)
+        backend_class, display_name, _ = outdated["backends"][0].split(":")
+        outdated["backends"][0] = f"{backend_class}:{display_name}:v0"  # old MODEL_VERSION
+        store.put_json("partition-plans", "outdated-plan", outdated)
+        assert stale_keys(store, "partition-plans") == ["outdated-plan"]
+        store.close()
+
+        assert main(["--dir", str(tmp_path), "gc"]) == 0
+        assert "dropped 1 stale profile/plan entries" in capsys.readouterr().out
+        reopened = CacheStore(tmp_path)
+        assert reopened.get("partition-plans", "outdated-plan") is None
+        assert reopened.get("partition-plans", key) is not None
+        reopened.close()
+
     def test_gc_keeps_everything_under_cap(self, tmp_path):
         populated_cache(tmp_path)
         store = CacheStore(tmp_path)

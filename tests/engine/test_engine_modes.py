@@ -1,8 +1,8 @@
-"""Engine executor modes and identify-stage memoization.
+"""Engine executor modes and partition-plan reuse across models.
 
 The contracts: every executor mode ("serial", "thread", "process") returns
-bit-identical strategies for the same graph, and repeated partition
-structures skip enumeration via the identify memo (counted in
+bit-identical strategies for the same graph, and a partition equal to one
+solved before reuses its plan from the partition plan cache (counted in
 ``EngineStats.identify_memo_hits``) without changing any result.
 """
 
@@ -11,11 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.engine import KorchConfig, KorchEngine, KorchEngineConfig
-from repro.engine.memo import IdentifyMemo, pg_structure_key
-from repro.fission import FissionEngine
 from repro.ir import GraphBuilder
-from repro.orchestration import KernelIdentifierConfig, KernelIdentifierReport
-from repro.orchestration.identifier import enumerate_candidate_specs
 
 
 def attention_model(name: str, heads: int = 4):
@@ -157,65 +153,27 @@ class TestExecutorModes:
             KorchEngine(config)
 
 
-class TestIdentifyMemo:
-    def test_twin_models_hit_the_memo(self):
+class TestPartitionPlanReuse:
+    def test_twin_models_reuse_partition_plans(self):
+        """A renamed twin is a new model (no model-plan hit) whose every
+        partition equals one of the first twin's."""
         with KorchEngine(KorchConfig(gpu="V100")) as engine:
             first = engine.optimize(attention_model("twin_a"))
             second = engine.optimize(attention_model("twin_b"))
-            assert engine.stats.identify_memo_hits > 0
-            assert engine.stats.as_dict()["identify_memo_hits"] > 0
+            hits = engine.stats.identify_memo_hits
+            assert hits == len(second.partitions) > 0
+            assert engine.stats.as_dict()["identify_memo_hits"] == hits
+        assert first.cache.partitions_reused == 0
+        assert second.cache.partitions_reused == len(second.partitions)
+        assert second.cache.plan_cache == "miss"
+        assert second.cache.partitions_replayed == 0
         assert strategy_fingerprint(second) == strategy_fingerprint(first)
+        assert second.latency_s == first.latency_s
 
-    def test_memo_disabled_by_config(self):
-        config = KorchConfig(gpu="V100", engine=KorchEngineConfig(identify_memo_entries=0))
+    def test_reuse_off_without_plan_cache(self):
+        config = KorchConfig(gpu="V100", enable_plan_cache=False)
         with KorchEngine(config) as engine:
             engine.optimize(attention_model("twin_a"))
-            engine.optimize(attention_model("twin_b"))
+            second = engine.optimize(attention_model("twin_b"))
             assert engine.stats.identify_memo_hits == 0
-
-    def test_memoized_specs_equal_fresh_enumeration(self):
-        pg, _ = FissionEngine().run(attention_model("memo_eq"))
-        config = KernelIdentifierConfig()
-        fresh_report = KernelIdentifierReport()
-        fresh = enumerate_candidate_specs(pg, config, fresh_report)
-
-        memo = IdentifyMemo(8)
-        memo.put(pg, config, fresh, fresh_report)
-        cached = memo.get(pg, config)
-        assert cached is not None
-        specs, report = cached
-        assert specs == fresh
-        assert report == fresh_report
-        assert report is not fresh_report  # downstream mutation must not leak
-
-    def test_structure_key_sensitivity(self):
-        config = KernelIdentifierConfig()
-        pg_a, _ = FissionEngine().run(attention_model("same"))
-        pg_b, _ = FissionEngine().run(attention_model("same", heads=4))
-
-        b = GraphBuilder("same")  # same name, different structure
-        x = b.input("x", (1, 4, 32, 16))
-        w = b.param("w", (1, 4, 16, 32))
-        b.output(b.relu(b.matmul(x, w)))
-        pg_c, _ = FissionEngine().run(b.build())
-
-        assert pg_structure_key(pg_a, config) == pg_structure_key(pg_b, config)
-        assert pg_structure_key(pg_a, config) != pg_structure_key(pg_c, config)
-        other_config = KernelIdentifierConfig(max_kernel_size=3)
-        assert pg_structure_key(pg_a, config) != pg_structure_key(pg_a, other_config)
-
-    def test_memo_lru_eviction(self):
-        memo = IdentifyMemo(1)
-        config = KernelIdentifierConfig()
-        pg_a, _ = FissionEngine().run(attention_model("a"))
-        b = GraphBuilder("b")
-        x = b.input("x", (1, 4, 32, 16))
-        w = b.param("w", (1, 4, 16, 32))
-        b.output(b.relu(b.matmul(x, w)))
-        pg_b, _ = FissionEngine().run(b.build())
-        report = KernelIdentifierReport()
-        memo.put(pg_a, config, [], report)
-        memo.put(pg_b, config, [], report)
-        assert len(memo) == 1
-        assert memo.get(pg_a, config) is None
-        assert memo.get(pg_b, config) is not None
+        assert second.cache.partitions_reused == 0

@@ -129,31 +129,3 @@ class TestEnumerationBitIdentity:
         fast = enumerate_candidate_specs(pg, config, KernelIdentifierReport())
         slow = enumerate_candidate_specs_reference(pg, config, KernelIdentifierReport())
         assert [spec_key(s) for s in fast] == [spec_key(s) for s in slow]
-
-    def test_skip_specs_removes_and_counts(self):
-        pg = primitive_graph(build_candy_block())
-        config = KernelIdentifierConfig(max_kernel_size=8)
-        full = enumerate_candidate_specs(pg, config, KernelIdentifierReport())
-        assert len(full) > 2
-        skip = {spec_key(full[1]), spec_key(full[3])}
-        report = KernelIdentifierReport()
-        pruned = enumerate_candidate_specs(pg, config, report, skip_specs=skip)
-        assert [spec_key(s) for s in pruned] == [
-            spec_key(s) for s in full if spec_key(s) not in skip
-        ]
-        assert report.extra["memo_dominance_skips"] == 2
-
-    def test_skipped_specs_still_count_toward_cap(self):
-        """A skip must not let enumeration run past where the cold run's
-        ``max_candidates`` truncation would have stopped it."""
-        pg = primitive_graph(build_candy_block())
-        config = KernelIdentifierConfig(max_kernel_size=8, max_candidates=6)
-        capped = enumerate_candidate_specs(pg, config, KernelIdentifierReport())
-        skip = {spec_key(capped[0])}
-        report = KernelIdentifierReport()
-        with_skip = enumerate_candidate_specs(pg, config, report, skip_specs=skip)
-        # Exactly the cold truncated list minus the skipped spec — nothing
-        # beyond the cap sneaks in to replace it.
-        assert [spec_key(s) for s in with_skip] == [
-            spec_key(s) for s in capped if spec_key(s) not in skip
-        ]

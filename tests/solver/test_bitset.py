@@ -204,24 +204,3 @@ class TestBranchAndBoundEquivalence:
             assert fast.status == slow.status
             assert fast.values == slow.values
             assert fast.objective == slow.objective
-
-    def test_warm_incumbent_keeps_optimum(self):
-        p = BinaryLinearProgram()
-        for i, cost in enumerate([3.0, 2.0, 4.0, 1.5]):
-            p.add_variable(f"k{i}", cost)
-        p.add_constraint({0: 1, 1: 1}, ">=", 1)
-        p.add_constraint({2: 1, 3: 1}, ">=", 1)
-        cold = solve_branch_and_bound(p)
-        seeded = solve_branch_and_bound(p, incumbent_values=[1, 1, 1, 1])
-        assert seeded.status == cold.status == SolveStatus.OPTIMAL
-        assert seeded.objective == cold.objective
-
-    def test_infeasible_incumbent_is_ignored(self):
-        p = BinaryLinearProgram()
-        p.add_variable("a", 1.0)
-        p.add_variable("b", 2.0)
-        p.add_constraint({0: 1, 1: 1}, ">=", 1)
-        # The seed violates the constraint; the solver must not trust it.
-        result = solve_branch_and_bound(p, incumbent_values=[0, 0])
-        assert result.status == SolveStatus.OPTIMAL
-        assert result.objective == 1.0
